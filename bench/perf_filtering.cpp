@@ -1,15 +1,18 @@
 // Microbenchmarks for the filtering hot paths on the full-scale log
-// (throughput of each stage and of the whole pipeline).
+// (throughput of each stage and of the whole pipeline), and for the ingest
+// paths in front of them: binary read/write, stream ingest, checksumming.
 #include <benchmark/benchmark.h>
 
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 
+#include "coral/common/binary_frame.hpp"
 #include "coral/common/parallel.hpp"
 #include "coral/filter/columns.hpp"
 #include "coral/filter/pipeline.hpp"
 #include "coral/ras/binary_io.hpp"
+#include "coral/stream/session.hpp"
 #include "coral/synth/intrepid.hpp"
 
 namespace {
@@ -238,5 +241,70 @@ void BM_RasBinaryReadV3Pushdown(benchmark::State& state) {
                           static_cast<std::int64_t>(data().ras.size()));
 }
 BENCHMARK(BM_RasBinaryReadV3Pushdown);
+
+// The full-scale RAS log as binary-v2 file bytes: what a fleet client
+// streams to the daemon.
+const std::string& v2_image() {
+  static const std::string bytes = [] {
+    std::ostringstream out;
+    ras::write_binary(out, data().ras);
+    return out.str();
+  }();
+  return bytes;
+}
+
+// The daemon's ingest loop without the socket: feed the v2 image into a
+// default (4 MiB-quota, lossless) Session in `chunk`-byte pieces, retrying a
+// rejected feed after a pump and pumping after every chunk, as the data
+// handler does. Real time and whole-process CPU.
+void session_feed_v2(benchmark::State& state, std::size_t chunk) {
+  const std::string& bytes = v2_image();
+  for (auto _ : state) {
+    stream::Session session("bench", {}, Context{});
+    for (std::string_view rest = bytes; !rest.empty();) {
+      const std::string_view piece = rest.substr(0, chunk);
+      while (session.feed(stream::Source::Ras, piece) == stream::Admission::Rejected) {
+        session.pump();
+      }
+      session.pump();
+      rest.remove_prefix(piece.size());
+    }
+    benchmark::DoNotOptimize(session.snapshot().ras_records);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(bytes.size()));
+}
+
+// One registered name per chunk size (not ->Arg()): merge_bench.py keys the
+// trajectory by function name with argument suffixes stripped.
+void BM_SessionFeedV2_16KiB(benchmark::State& state) {
+  session_feed_v2(state, std::size_t{16} << 10);
+}
+BENCHMARK(BM_SessionFeedV2_16KiB)->Unit(benchmark::kMillisecond)->UseRealTime()
+    ->MeasureProcessCPUTime();
+
+void BM_SessionFeedV2_256KiB(benchmark::State& state) {
+  session_feed_v2(state, std::size_t{256} << 10);
+}
+BENCHMARK(BM_SessionFeedV2_256KiB)->Unit(benchmark::kMillisecond)->UseRealTime()
+    ->MeasureProcessCPUTime();
+
+void BM_SessionFeedV2_4MiB(benchmark::State& state) {
+  session_feed_v2(state, std::size_t{4} << 20);
+}
+BENCHMARK(BM_SessionFeedV2_4MiB)->Unit(benchmark::kMillisecond)->UseRealTime()
+    ->MeasureProcessCPUTime();
+
+// CRC-32 over the whole v2 image (~48 MB at seed 42): the per-byte tax every
+// framed read, wire message and CBLK frame pays.
+void BM_Crc32(benchmark::State& state) {
+  const std::string& bytes = v2_image();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(bin::crc32(bytes.data(), bytes.size()));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(bytes.size()));
+}
+BENCHMARK(BM_Crc32)->Unit(benchmark::kMillisecond)->UseRealTime()->MeasureProcessCPUTime();
 
 }  // namespace

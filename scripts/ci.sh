@@ -87,16 +87,17 @@ case " ${PRESETS[*]} " in
     ;;
 esac
 
-# The concurrent multi-catalog tests must always run under ThreadSanitizer,
-# even when the caller asked for a subset of presets: they are the only
-# coverage of two Contexts racing through the full pipeline.
+# The concurrent multi-catalog tests and the daemon start/stop cycles must
+# always run under ThreadSanitizer, even when the caller asked for a subset
+# of presets: they are the only coverage of two Contexts racing through the
+# full pipeline and of stop() racing the daemon's accept loops.
 case " ${PRESETS[*]} " in
   *" tsan "*) ;;  # full tsan suite already ran above
   *)
-    echo "==== [tsan] focused Context race check ===="
+    echo "==== [tsan] focused Context + daemon lifecycle race check ===="
     cmake --preset tsan
-    cmake --build --preset tsan -j "$JOBS" --target test_context
-    ctest --preset tsan -R 'Context' -j "$JOBS"
+    cmake --build --preset tsan -j "$JOBS" --target test_context test_fleet
+    ctest --preset tsan -R 'Context|DaemonLifecycle' -j "$JOBS"
     ;;
 esac
 

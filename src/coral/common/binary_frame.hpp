@@ -12,7 +12,16 @@
 namespace coral::bin {
 
 /// CRC-32 (IEEE 802.3 polynomial, reflected), the zlib/gzip checksum.
-/// Slicing-by-8: eight bytes per table round instead of one.
+///
+/// Two paths, one value. The portable one is table-driven slicing-by-16:
+/// sixteen bytes per round through sixteen 256-entry tables. On x86-64
+/// hosts whose CPU has PCLMULQDQ (and SSE4.1), inputs of 64 bytes or more
+/// instead fold their whole 16-byte blocks with carry-less multiplies —
+/// four 128-bit accumulators, each advanced 64 bytes per round, then folded
+/// into one and Barrett-reduced to 32 bits — and only the last size % 16
+/// bytes go through the table. The choice is made once, at static
+/// initialization, from __builtin_cpu_supports; other hosts, and inputs
+/// under 64 bytes, always take the table.
 std::uint32_t crc32(const void* data, std::size_t size);
 
 /// Per-block framing for the v2 binary log formats.
@@ -81,52 +90,27 @@ struct FrameRef {
 /// block; returns false at the first framing anomaly (bad magic, implausible
 /// size, truncation), leaving `out` holding the frames located so far.
 /// Callers that need damage recovery or exact damage messages fall back to
-/// BlockReader, which is the authority on both.
+/// FrameAssembler (through BlockReader), which is the authority on both.
 bool index_frames(std::string_view region, std::vector<FrameRef>& out);
 
-/// Reads framed blocks back. Strict mode throws ParseError (with the byte
-/// offset) on any damaged frame; lenient mode records the damage in `report`
-/// and resynchronizes at the next block marker.
-class BlockReader {
- public:
-  BlockReader(std::istream& in, ParseMode mode, IngestReport* report,
-              const char* what)
-      : in_(in), mode_(mode), report_(report), what_(what) {}
-
-  /// Fetch the next intact block payload. Returns false at end of input
-  /// (clean EOF in strict mode; in lenient mode also after trailing
-  /// garbage, which is counted as one dropped frame).
-  bool next(std::string& payload);
-
-  /// Byte offset of the start of the block most recently returned.
-  std::uint64_t block_offset() const { return block_offset_; }
-
- private:
-  void fill(std::size_t want);
-  void drop(std::size_t n);
-  void note_damage(std::uint64_t offset, const char* detail);
-
-  std::istream& in_;
-  ParseMode mode_;
-  IngestReport* report_;
-  const char* what_;  ///< "binary RAS log" / "binary job log" for messages
-  std::string pending_;           ///< bytes consumed from `in_`, not yet parsed
-  std::uint64_t pending_base_ = 0;  ///< absolute offset of pending_[0]
-  std::uint64_t block_offset_ = 0;
-};
-
-/// Incremental counterpart of BlockReader for byte streams that arrive in
-/// pieces (a socket, a tailed file): push() appends raw bytes, next() yields
-/// each complete intact payload as soon as its last byte is in, and finish()
+/// The one implementation of frame parsing, damage accounting and resync,
+/// for byte streams that arrive in pieces (a socket, a tailed file, an
+/// istream read in chunks): push() appends raw bytes, next() yields each
+/// complete intact payload as soon as its last byte is in, and finish()
 /// signals end-of-stream so the final truncation accounting can run.
 ///
-/// Damage semantics are BlockReader's, by construction: a damaged stretch —
-/// however many resync steps it takes to find the next "CBLK" marker — is one
-/// sample in `report` (strict mode throws instead), and byte offsets count
-/// from the first byte ever pushed. A reader that push()es a whole file and
-/// then finish()es produces the exact payload sequence and IngestReport of a
-/// BlockReader over the same bytes; the session/wire ingest path leans on
-/// that equivalence for its accounting parity with the offline readers.
+/// Damage semantics: a damaged stretch — however many resync steps it takes
+/// to find the next "CBLK" marker — is one sample in `report` (strict mode
+/// throws ParseError with the byte offset instead), and byte offsets count
+/// from the first byte ever pushed. The payload sequence and IngestReport
+/// depend only on the bytes, never on how they were split across push()es;
+/// BlockReader, the session and the wire ingest path all lean on that for
+/// their accounting parity with each other.
+///
+/// Cost: amortized O(1) per byte. next() advances a consume offset instead
+/// of erasing the buffer's front, and push() compacts the consumed prefix
+/// once before appending, so the buffer never holds more than the unconsumed
+/// backlog plus the chunk being pushed.
 class FrameAssembler {
  public:
   FrameAssembler(ParseMode mode, IngestReport* report, const char* what)
@@ -144,15 +128,16 @@ class FrameAssembler {
   std::uint64_t block_offset() const { return block_offset_; }
 
   /// Declare end-of-stream: leftover bytes that can no longer become a
-  /// complete frame are accounted as damage (exactly as BlockReader does
-  /// when its istream runs dry). next() may still yield payloads buffered
-  /// before the call.
+  /// complete frame are accounted as damage (a truncated header or payload,
+  /// or trailing garbage). next() may still yield payloads buffered before
+  /// the call.
   void finish() { eos_ = true; }
 
   /// Bytes buffered but not yet consumed as frames (live backlog gauge).
-  std::size_t buffered() const { return pending_.size(); }
+  std::size_t buffered() const { return pending_.size() - head_; }
 
  private:
+  std::string_view unread() const { return std::string_view(pending_).substr(head_); }
   void drop(std::size_t n);
   void note_damage(std::uint64_t offset, const char* detail);
   /// Skip to the next possible "CBLK" marker. Returns false when the buffer
@@ -163,16 +148,42 @@ class FrameAssembler {
   IngestReport* report_;
   const char* what_;
   std::string pending_;
-  std::uint64_t pending_base_ = 0;
+  std::size_t head_ = 0;            ///< pending_[0, head_) is already consumed
+  std::uint64_t pending_base_ = 0;  ///< absolute offset of pending_[head_]
   std::uint64_t block_offset_ = 0;
   bool eos_ = false;
   /// True while inside a damaged stretch: follow-on damage is not re-counted
-  /// until a good frame closes the stretch (BlockReader's per-call flag).
+  /// until a good frame closes the stretch.
   bool in_damage_ = false;
 };
 
+/// Reads framed blocks back from an istream: a FrameAssembler fed with
+/// 64 KiB reads, finished at end of input. Strict mode throws ParseError
+/// (with the byte offset) on any damaged frame; lenient mode records the
+/// damage in `report` and resynchronizes at the next block marker.
+class BlockReader {
+ public:
+  BlockReader(std::istream& in, ParseMode mode, IngestReport* report,
+              const char* what)
+      : in_(in), frames_(mode, report, what) {}
+
+  /// Fetch the next intact block payload. Returns false at end of input
+  /// (clean EOF in strict mode; in lenient mode also after trailing
+  /// garbage, which is counted as one dropped frame).
+  bool next(std::string& payload);
+
+  /// Byte offset of the start of the block most recently returned.
+  std::uint64_t block_offset() const { return frames_.block_offset(); }
+
+ private:
+  std::istream& in_;
+  FrameAssembler frames_;
+  std::string chunk_;  ///< read buffer, reused across reads
+  bool eof_ = false;
+};
+
 /// A bounds-checked little-endian cursor over one block payload — a view,
-/// so it reads equally from a BlockReader's copied payload or from a mapped
+/// so it reads equally from a FrameAssembler's copied payload or from a mapped
 /// file region in place. get<T> failures surface the absolute byte offset of
 /// the failing field.
 class PayloadCursor {

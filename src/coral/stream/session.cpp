@@ -65,10 +65,15 @@ Admission Session::feed(Source src, std::string_view bytes) {
   if (bytes.empty()) return Admission::Accepted;
   SourceState& st = state(src);
   std::lock_guard<std::mutex> lock(st.mu);
-  // An empty backlog always admits, even a chunk larger than the quota:
-  // the quota bounds backlog *growth*, and refusing an oversized chunk
-  // outright would wedge a lossless (Reject + retry) feeder forever.
-  if (st.backlog() != 0 && st.backlog() + bytes.size() > config_.queue_bytes) {
+  // An empty queue always admits, even a chunk larger than the quota: the
+  // quota bounds backlog *growth*, and refusing an oversized chunk outright
+  // would wedge a lossless (Reject + retry) feeder forever. The test is on
+  // the queue, not the whole backlog: the assembler's partial frame only
+  // completes with *more* bytes, so no pump() can drain it, and counting it
+  // here would reject every chunk of at least the quota less that remainder
+  // forever. Backlog stays bounded by the quota or by one partial frame
+  // plus one chunk.
+  if (st.queued.load() != 0 && st.backlog() + bytes.size() > config_.queue_bytes) {
     if (config_.overflow == SessionConfig::Overflow::Reject) return Admission::Rejected;
     bytes_shed_.fetch_add(bytes.size(), std::memory_order_relaxed);
     chunks_shed_.fetch_add(1, std::memory_order_relaxed);

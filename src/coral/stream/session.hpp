@@ -30,7 +30,9 @@ enum class Admission {
 struct SessionConfig {
   ParseMode mode = ParseMode::Lenient;
   /// Ingest-queue quota per source, in bytes of undecoded backlog. A feed
-  /// that would push the backlog past this is rejected or shed.
+  /// that would push the backlog past this is rejected or shed — unless
+  /// the source's queue is empty, which always admits (a lossless feeder
+  /// of chunks at or above the quota must still make progress).
   std::size_t queue_bytes = std::size_t{4} << 20;
   /// What the admission gate does with an over-quota feed. Reject is the
   /// lossless default (the wire server turns it into backpressure by

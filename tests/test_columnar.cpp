@@ -384,19 +384,39 @@ TEST(Crc32, KnownVectors) {
 
 TEST(Crc32, MatchesBytewiseReferenceAcrossLengthsAndAlignments) {
   Rng rng(11);
-  std::string data(4096, '\0');
+  std::string data(4096 + 16, '\0');
   for (char& c : data) c = static_cast<char>(rng.uniform_index(256));
-  // Lengths around the 8-byte slicing boundary and odd start offsets
-  // exercise both the sliced body and the bytewise tail.
+  // Odd start offsets, and lengths around every boundary of both paths:
+  // the 16-byte slicing round and bytewise tail of the table (every length
+  // under 64, on every host), and on hosts with PCLMULQDQ the 64-byte entry
+  // to the carry-less fold, its four-way rounds, the single 16-byte folds
+  // after them and the table tail behind those.
   for (std::size_t offset : {std::size_t{0}, std::size_t{1}, std::size_t{3}, std::size_t{7}}) {
-    for (std::size_t len : {std::size_t{0}, std::size_t{1}, std::size_t{7}, std::size_t{8},
-                            std::size_t{9}, std::size_t{63}, std::size_t{64},
-                            std::size_t{1000}, std::size_t{4000}}) {
+    for (std::size_t len :
+         {std::size_t{0}, std::size_t{1}, std::size_t{7}, std::size_t{8}, std::size_t{9},
+          std::size_t{15}, std::size_t{16}, std::size_t{17}, std::size_t{63},
+          std::size_t{64}, std::size_t{65}, std::size_t{127}, std::size_t{128},
+          std::size_t{129}, std::size_t{1000}, std::size_t{4000}, std::size_t{4096 + 7}}) {
       ASSERT_LE(offset + len, data.size());
       EXPECT_EQ(bin::crc32(data.data() + offset, len),
                 crc32_bytewise(data.data() + offset, len))
           << "offset " << offset << " len " << len;
     }
+  }
+}
+
+TEST(Crc32, MatchesBytewiseReferenceOnMultiMiBBuffersAtOddOffsets) {
+  Rng rng(12);
+  std::string data((std::size_t{3} << 20) + 64, '\0');
+  for (char& c : data) c = static_cast<char>(rng.uniform_index(256));
+  for (const auto& [offset, len] :
+       {std::pair<std::size_t, std::size_t>{1, (std::size_t{3} << 20) + 13},
+        std::pair<std::size_t, std::size_t>{7, (std::size_t{2} << 20) + 61},
+        std::pair<std::size_t, std::size_t>{13, std::size_t{3} << 20}}) {
+    ASSERT_LE(offset + len, data.size());
+    EXPECT_EQ(bin::crc32(data.data() + offset, len),
+              crc32_bytewise(data.data() + offset, len))
+        << "offset " << offset << " len " << len;
   }
 }
 

@@ -203,6 +203,45 @@ TEST(FleetDaemon, TwoConcurrentTenantsOnDifferentMachinesReachParity) {
   for (const auto& t : tenants) EXPECT_TRUE(t.stats.finalized) << t.name;
 }
 
+TEST(FleetDaemon, QuotaSizedWireMessagesComplete) {
+  // Data messages as large as the per-source quota: once the first one is
+  // decoded, the tenant's assembler holds a partial frame that only the next
+  // message can complete, so admission must not count it against the quota,
+  // or the connection's feed/pump retry loop can never make progress.
+  DaemonFixture fx;
+  const std::size_t chunk = fleet::DaemonConfig{}.queue_bytes;
+  const std::string ras_image = ras_bytes(make_ras_log(400000));
+  const std::string job_image = job_bytes(make_job_log(300));
+  ASSERT_GT(ras_image.size(), 2 * chunk);  // a full-size second chunk
+  fleet::WireClient client("127.0.0.1", fx.port());
+  client.handshake({"bigchunks", "bgp", ParseMode::Strict, false});
+  client.send_data(stream::Source::Ras, ras_image, chunk);
+  client.send_data(stream::Source::Jobs, job_image, chunk);
+  const fleet::ReplyFields reply = client.finalize();
+  EXPECT_EQ(reply.at("ras_records"), "400000");
+  EXPECT_EQ(reply.at("result_fp"),
+            offline_result_fp(ras_image, job_image, ParseMode::Strict,
+                              machine::bgp_model()));
+}
+
+// Start/stop cycles, with and without traffic. scripts/ci.sh runs this
+// suite under ThreadSanitizer: the accept loops must never read state that
+// stop() writes.
+TEST(DaemonLifecycle, RepeatedStartStopWithTraffic) {
+  const std::string ras_image = ras_bytes(make_ras_log(64));
+  for (int round = 0; round < 12; ++round) {
+    fleet::Daemon daemon;
+    daemon.start();
+    if (round % 2 == 1) {
+      fleet::WireClient client("127.0.0.1", daemon.wire_port());
+      client.handshake({"cycle" + std::to_string(round), "bgp", ParseMode::Lenient, false});
+      client.send_data(stream::Source::Ras, ras_image);
+      EXPECT_EQ(client.flush().at("ras_records"), "64") << "round " << round;
+    }
+    if (round % 3 == 0) daemon.stop();  // explicit stop, then the destructor's
+  }
+}
+
 TEST(FleetDaemon, MidRunMetricsAreLiveAndLabeled) {
   DaemonFixture fx;
   const std::string ras_image = ras_bytes(make_ras_log(600));

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "corrupt.hpp"
+#include "frame_oracle.hpp"
 
 #include "coral/common/error.hpp"
 #include "coral/common/ingest.hpp"
@@ -648,6 +649,168 @@ TEST(FuzzSmokeV3, ZoneMapLiesNeverBreakAccounting) {
         << "seed " << seed;
     EXPECT_EQ(rep.total_malformed(), 0u) << "seed " << seed;
     EXPECT_LE(parsed.size(), n) << "seed " << seed;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// One framing implementation: BlockReader is a FrameAssembler fed with
+// 64 KiB istream reads. These differentials pin both — the assembler at any
+// chunking — to the frozen pre-rebuild reader (frame_oracle.hpp) over the
+// corruption corpus: the same payloads at the same offsets, the same damage
+// ledger sample for sample, and in strict mode the same error.
+
+struct FrameTrace {
+  std::vector<std::pair<std::uint64_t, std::string>> payloads;
+  IngestReport report;
+  std::string error;  ///< strict-mode ParseError text; empty when none
+};
+
+template <typename Reader>
+FrameTrace trace_reader(const std::string& bytes, ParseMode mode) {
+  FrameTrace t;
+  std::istringstream in(bytes);
+  Reader reader(in, mode, &t.report, "binary log");
+  std::string payload;
+  try {
+    while (reader.next(payload)) t.payloads.emplace_back(reader.block_offset(), payload);
+  } catch (const ParseError& e) {
+    t.error = e.what();
+  }
+  return t;
+}
+
+/// Push `bytes` in `chunk`-byte pieces, draining next() after each push;
+/// chunk 0 pushes the whole input at once and drains it in one pass.
+FrameTrace trace_assembler(const std::string& bytes, ParseMode mode, std::size_t chunk) {
+  FrameTrace t;
+  bin::FrameAssembler frames(mode, &t.report, "binary log");
+  std::string payload;
+  const auto drain = [&] {
+    while (frames.next(payload)) t.payloads.emplace_back(frames.block_offset(), payload);
+  };
+  try {
+    std::string_view rest = bytes;
+    if (chunk == 0) chunk = std::max<std::size_t>(rest.size(), 1);
+    while (!rest.empty()) {
+      const std::size_t n = std::min(chunk, rest.size());
+      frames.push(rest.substr(0, n));
+      rest.remove_prefix(n);
+      drain();
+    }
+    frames.finish();
+    drain();
+    EXPECT_EQ(frames.buffered(), 0u);
+  } catch (const ParseError& e) {
+    t.error = e.what();
+  }
+  return t;
+}
+
+void expect_same_frames(const FrameTrace& got, const FrameTrace& want,
+                        const std::string& label) {
+  EXPECT_EQ(got.error, want.error) << label;
+  ASSERT_EQ(got.payloads.size(), want.payloads.size()) << label;
+  for (std::size_t i = 0; i < got.payloads.size(); ++i) {
+    EXPECT_EQ(got.payloads[i].first, want.payloads[i].first) << label << " frame " << i;
+    EXPECT_TRUE(got.payloads[i].second == want.payloads[i].second)
+        << label << " frame " << i;
+  }
+  EXPECT_EQ(got.report.total_malformed(), want.report.total_malformed()) << label;
+  EXPECT_EQ(got.report.malformed(IngestReason::BinaryFrame),
+            want.report.malformed(IngestReason::BinaryFrame))
+      << label;
+  ASSERT_EQ(got.report.samples().size(), want.report.samples().size()) << label;
+  for (std::size_t i = 0; i < got.report.samples().size(); ++i) {
+    EXPECT_EQ(got.report.samples()[i].byte_offset, want.report.samples()[i].byte_offset)
+        << label << " sample " << i;
+    EXPECT_EQ(got.report.samples()[i].detail, want.report.samples()[i].detail)
+        << label << " sample " << i;
+  }
+}
+
+/// Every framing reader over one (possibly damaged) framed region, in both
+/// modes, against the frozen oracle.
+void expect_framing_parity(const std::string& region,
+                           const std::vector<std::size_t>& chunks,
+                           const std::string& label) {
+  for (const ParseMode mode : {ParseMode::Lenient, ParseMode::Strict}) {
+    const std::string tag =
+        label + (mode == ParseMode::Strict ? " strict" : " lenient");
+    const FrameTrace want = trace_reader<testing::LegacyBlockReader>(region, mode);
+    expect_same_frames(trace_reader<bin::BlockReader>(region, mode), want,
+                       tag + " BlockReader");
+    for (const std::size_t chunk : chunks) {
+      expect_same_frames(trace_assembler(region, mode, chunk), want,
+                         tag + " chunk " + std::to_string(chunk));
+    }
+  }
+}
+
+/// The corpus for one serialized log: intact, then every mutator class.
+std::vector<std::string> framing_corpus(const std::string& bytes, Rng& rng, bool v3) {
+  std::vector<std::string> out = {
+      bytes,
+      testing::flip_bits(bytes, rng, 6),
+      testing::truncate_bytes(bytes, rng, 0.3),
+      testing::flip_bits(testing::truncate_bytes(bytes, rng, 0.5), rng, 3),
+      testing::flip_block_payload(bytes, rng, v3 ? 'C' : 'R', 2),
+  };
+  if (v3) out.push_back(testing::lie_in_zone_map(bytes, rng));
+  return out;
+}
+
+TEST(FuzzSmokeFraming, BlockReaderAndAssemblerMatchFrozenReaderOverCorpus) {
+  std::vector<std::pair<std::string, std::string>> logs;
+  for (const bool v3 : {false, true}) {
+    std::stringstream ras_buf, job_buf;
+    if (v3) {
+      ras::write_binary(ras_buf, make_ras_log(900), {});
+      joblog::write_binary(job_buf, make_job_log(500), {});
+    } else {
+      ras::write_binary(ras_buf, make_ras_log(900));
+      joblog::write_binary(job_buf, make_job_log(500));
+    }
+    logs.emplace_back(v3 ? "ras.v3" : "ras.v2", ras_buf.str());
+    logs.emplace_back(v3 ? "jobs.v3" : "jobs.v2", job_buf.str());
+  }
+  // Byte-at-a-time, a prime that straddles every frame boundary, a chunk
+  // bigger than the log, and the whole log as one push.
+  const std::vector<std::size_t> chunks = {1, 1009, std::size_t{1} << 18, 0};
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    for (const auto& [name, bytes] : logs) {
+      Rng rng(seed);
+      const bool v3 = name.find("v3") != std::string::npos;
+      const std::vector<std::string> corpus = framing_corpus(bytes, rng, v3);
+      for (std::size_t c = 0; c < corpus.size(); ++c) {
+        // The framed region, as the readers see it past the 8-byte header.
+        const std::string region = corpus[c].substr(std::min<std::size_t>(8, corpus[c].size()));
+        expect_framing_parity(region, chunks,
+                              name + " seed " + std::to_string(seed) + " case " +
+                                  std::to_string(c));
+      }
+    }
+  }
+}
+
+TEST(FuzzSmokeFraming, AssemblerChunkingMatchesBlockReaderOnSmallScenario) {
+  static const synth::SynthResult data = synth::generate(synth::small_scenario());
+  std::stringstream ras_buf, job_buf;
+  ras::write_binary(ras_buf, data.ras);
+  joblog::write_binary(job_buf, data.jobs);
+  // 3001 bytes straddles frames; 256 KiB is the fleet client's message size;
+  // 0 is the whole file in one push and a single drain, the case that was
+  // quadratic when every frame erased the buffer's front.
+  const std::vector<std::size_t> chunks = {1, 3001, std::size_t{256} << 10, 0};
+  for (const auto& [name, bytes] :
+       {std::pair<std::string, std::string>{"ras.v2", ras_buf.str()},
+        std::pair<std::string, std::string>{"jobs.v2", job_buf.str()}}) {
+    Rng rng(42);
+    const std::vector<std::string> cases = {
+        bytes, testing::flip_bits(bytes, rng, 8),
+        testing::flip_bits(testing::truncate_bytes(bytes, rng, 0.6), rng, 4)};
+    for (std::size_t c = 0; c < cases.size(); ++c) {
+      expect_framing_parity(cases[c].substr(8), chunks, name + " case " + std::to_string(c));
+    }
   }
 }
 

@@ -243,6 +243,37 @@ TEST(SessionAdmission, OversizedChunkAdmittedOnEmptyBacklog) {
             stream::Admission::Rejected);
 }
 
+TEST(SessionAdmission, QuotaSizedChunksCompleteLosslessly) {
+  // A lossless feeder whose chunks are as large as the quota: after the
+  // first pump the assembler holds a partial frame that only the next chunk
+  // can complete. The empty queue must admit that chunk; counting the
+  // partial frame against the quota would make this loop spin forever.
+  const std::string ras_image = ras_bytes(make_ras_log(400000));
+  const std::string job_image = job_bytes(make_job_log(200));
+  const Offline off = offline_run(ras_image, job_image, ParseMode::Strict);
+  stream::SessionConfig cfg;
+  cfg.mode = ParseMode::Strict;
+  const std::size_t chunk = cfg.queue_bytes;
+  ASSERT_GT(ras_image.size(), 2 * chunk);  // a full-size second chunk
+  stream::Session session("bigchunks", cfg, Context{});
+  for (const auto& [src, image] : {std::pair{stream::Source::Ras, &ras_image},
+                                   std::pair{stream::Source::Jobs, &job_image}}) {
+    std::string_view rest = *image;
+    while (!rest.empty()) {
+      const std::string_view piece = rest.substr(0, chunk);
+      for (int tries = 0; session.feed(src, piece) == stream::Admission::Rejected; ++tries) {
+        ASSERT_LT(tries, 8) << "feed/pump retry loop is not making progress";
+        session.pump();
+      }
+      rest.remove_prefix(piece.size());
+    }
+  }
+  const stream::SessionResult got = session.finalize();
+  EXPECT_EQ(got.ras.size(), 400000u);
+  EXPECT_EQ(fleet::log_fingerprint(got.ras, got.jobs), off.log_fp);
+  EXPECT_EQ(fleet::result_fingerprint(got.analysis), off.result_fp);
+}
+
 TEST(SessionAdmission, ShedPolicyCountsExactly) {
   obs::Collector obs;
   stream::SessionConfig cfg;
