@@ -159,24 +159,4 @@ void BM_EndToEndCoAnalysis(benchmark::State& state) {
 }
 BENCHMARK(BM_EndToEndCoAnalysis)->Unit(benchmark::kMillisecond);
 
-void BM_EndToEndBatchEngine(benchmark::State& state) {
-  (void)ras_bytes();
-  (void)job_bytes();
-  par::ThreadPool pool;
-  const Context ctx = Context{}.with_pool(&pool);
-  core::CoAnalysisConfig config;
-  config.execution.engine = core::Engine::Batch;
-  for (auto _ : state) {
-    std::istringstream ras_in(ras_bytes());
-    const ras::RasLog ras = ras::read_binary(ras_in, ras::default_catalog(),
-                                             ParseMode::Strict, nullptr, nullptr, &pool);
-    std::istringstream job_in(job_bytes());
-    const joblog::JobLog jobs = joblog::read_binary(job_in);
-    benchmark::DoNotOptimize(core::run_coanalysis(ras, jobs, config, ctx));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(data().ras.size()));
-}
-BENCHMARK(BM_EndToEndBatchEngine)->Unit(benchmark::kMillisecond);
-
 }  // namespace

@@ -1,7 +1,6 @@
-// Machines x scenarios x engines matrix over the pluggable MachineModel
-// layer: every registered machine (bgp, bgq) runs every calibrated scenario
-// pack (plus the unmodified base calibration) through both co-analysis
-// engines (batch and streaming).
+// Machines x scenarios matrix over the pluggable MachineModel layer: every
+// registered machine (bgp, bgq) runs every calibrated scenario pack (plus
+// the unmodified base calibration) through the co-analysis.
 //
 // Self-main rather than google-benchmark: the matrix is the product, not a
 // flat bench list, and the same binary doubles as the CI smoke runner.
@@ -35,7 +34,6 @@ using namespace coral;
 struct Cell {
   std::string machine;
   std::string scenario;
-  const char* engine = "batch";
   double seconds = 0;
   std::size_t ras_records = 0;
   std::size_t jobs = 0;
@@ -94,32 +92,25 @@ int main(int argc, char** argv) {
                              : synth::pack_scenario(*machine, scenario, seed, days);
       config.days = days;  // comparable cells; see header comment
       const synth::SynthResult data = synth::generate(config);
-      for (const char* engine : {"batch", "streaming"}) {
-        Cell cell;
-        cell.machine = std::string(machine->name());
-        cell.scenario = scenario;
-        cell.engine = engine;
-        cell.ras_records = data.ras.size();
-        cell.jobs = data.jobs.size();
-        core::CoAnalysisConfig cfg;
-        cfg.execution.engine = std::strcmp(engine, "batch") == 0
-                                   ? core::Engine::Batch
-                                   : core::Engine::Streaming;
-        core::CoAnalysisResult result;
-        cell.seconds = best_seconds(
-            [&] { result = core::run_coanalysis(data.ras, data.jobs, cfg); }, reps);
-        cell.groups = result.filtered.groups.size();
-        cell.interruptions = result.matches.interruptions.size();
-        if (smoke) {
-          const bool pass = sane(cell, result, *machine);
-          ok = ok && pass;
-          std::printf("[%s] %s/%s/%s: ras=%zu jobs=%zu groups=%zu intr=%zu (%.0f ms)\n",
-                      pass ? "ok" : "FAIL", cell.machine.c_str(), cell.scenario.c_str(),
-                      engine, cell.ras_records, cell.jobs, cell.groups,
-                      cell.interruptions, cell.seconds * 1e3);
-        }
-        cells.push_back(std::move(cell));
+      Cell cell;
+      cell.machine = std::string(machine->name());
+      cell.scenario = scenario;
+      cell.ras_records = data.ras.size();
+      cell.jobs = data.jobs.size();
+      core::CoAnalysisResult result;
+      cell.seconds =
+          best_seconds([&] { result = core::run_coanalysis(data.ras, data.jobs); }, reps);
+      cell.groups = result.filtered.groups.size();
+      cell.interruptions = result.matches.interruptions.size();
+      if (smoke) {
+        const bool pass = sane(cell, result, *machine);
+        ok = ok && pass;
+        std::printf("[%s] %s/%s: ras=%zu jobs=%zu groups=%zu intr=%zu (%.0f ms)\n",
+                    pass ? "ok" : "FAIL", cell.machine.c_str(), cell.scenario.c_str(),
+                    cell.ras_records, cell.jobs, cell.groups, cell.interruptions,
+                    cell.seconds * 1e3);
       }
+      cells.push_back(std::move(cell));
     }
   }
 
@@ -133,10 +124,10 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(seed), days);
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const Cell& c = cells[i];
-    std::printf("    {\"machine\": \"%s\", \"scenario\": \"%s\", \"engine\": \"%s\", "
+    std::printf("    {\"machine\": \"%s\", \"scenario\": \"%s\", "
                 "\"seconds\": %.6f, \"ras_records\": %zu, \"jobs\": %zu, "
                 "\"groups\": %zu, \"interruptions\": %zu}%s\n",
-                c.machine.c_str(), c.scenario.c_str(), c.engine, c.seconds,
+                c.machine.c_str(), c.scenario.c_str(), c.seconds,
                 c.ras_records, c.jobs, c.groups, c.interruptions,
                 i + 1 < cells.size() ? "," : "");
   }

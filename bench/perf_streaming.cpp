@@ -1,15 +1,15 @@
-// Throughput and peak-RSS comparison of the co-analysis front-ends on a
-// full-scale (~2M-record) Intrepid log pair: the batch passes vs the
-// streaming engine at one shard and at N shards, plus a "full" mode that
-// runs the entire co-analysis (front-end + characterization stages) under
-// obs so the per-stage breakdown lands in the trajectory file.
+// Throughput and peak RSS of the co-analysis on a full-scale (~2M-record)
+// Intrepid log pair: a "batch" mode that times the filter + match passes
+// alone, and a "full" mode that runs the entire co-analysis (filter, match
+// and characterization stages) under obs so the per-stage breakdown lands
+// in the trajectory file.
 //
 // Self-main rather than google-benchmark: each mode's peak RSS is measured
 // in a forked child (copy-on-write shares the generated logs) so the modes
 // cannot pollute each other's high-water mark, and wall-clock throughput is
 // best-of-R in the parent. Emits one JSON object on stdout.
 //
-//   $ ./perf_streaming [seed] [target_shards] [reps]
+//   $ ./perf_streaming [seed] [reps]
 #include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -19,7 +19,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -30,7 +29,6 @@
 #include "coral/core/matching.hpp"
 #include "coral/core/pipeline.hpp"
 #include "coral/filter/pipeline.hpp"
-#include "coral/stream/coanalysis.hpp"
 #include "coral/synth/intrepid.hpp"
 
 namespace {
@@ -41,8 +39,6 @@ struct ModeResult {
   std::string name;
   double seconds = 0;
   long peak_rss_kb = 0;
-  std::size_t shards = 1;
-  std::size_t peak_stage_state = 0;
   std::size_t interruptions = 0;
   std::string obs_json = "{}";  ///< obs snapshot (spans/counters/histograms)
                                 ///< from the last RSS rep
@@ -82,16 +78,15 @@ long forked_peak_rss_kb(Fn&& fn) {
 
 int main(int argc, char** argv) {
   const std::uint64_t seed = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 42;
-  const int target_shards = argc > 2 ? std::atoi(argv[2]) : 8;
-  const int reps = argc > 3 ? std::atoi(argv[3]) : 3;
+  const int reps = argc > 2 ? std::atoi(argv[2]) : 3;
 
   std::fprintf(stderr, "generating full Intrepid scenario (seed %llu)...\n",
                static_cast<unsigned long long>(seed));
   const synth::SynthResult data = synth::generate(synth::intrepid_scenario(seed));
   const std::size_t records = data.ras.size() + 2 * data.jobs.size();
 
-  // CORAL_THREADS or the hardware. Only used to report the size below: each
-  // sharded run constructs its own pool *inside* the measured function, so
+  // CORAL_THREADS or the hardware. Only used to report the size below: the
+  // full mode constructs its own pool *inside* the measured function, so
   // the forked RSS child owns live worker threads (a pool created before
   // fork() would leave the child waiting on workers that only exist in the
   // parent).
@@ -123,32 +118,8 @@ int main(int argc, char** argv) {
     modes.push_back(m);
   }
 
-  for (const int shards : {1, target_shards}) {
-    ModeResult m;
-    m.name = shards == 1 ? "stream-1shard" : "stream-nshard";
-    const auto run = [&data, shards, &m](obs::Collector* obs) {
-      std::optional<par::ThreadPool> pool;
-      if (shards > 1) pool.emplace(par::configured_thread_count());
-      if (pool && obs != nullptr) pool->set_obs(obs);
-      stream::FrontEndConfig config;
-      config.shards = shards;
-      Context ctx = Context().with_pool(pool ? &*pool : nullptr);
-      if (obs != nullptr) ctx.with_obs(obs);
-      const auto front = stream::run_streaming_frontend(data.ras, data.jobs, config, ctx);
-      m.interruptions = front.matches.interruptions.size();
-      m.shards = front.shards_used;
-      m.peak_stage_state = front.peak_stage_state;
-    };
-    m.seconds = best_seconds([&run] { run(nullptr); }, reps);
-    m.peak_rss_kb = forked_peak_rss_kb([&run] { run(nullptr); });
-    obs::Collector collector;
-    run(&collector);
-    m.obs_json = obs::snapshot_json(collector.snapshot());
-    modes.push_back(m);
-  }
-
   {
-    // Whole-pipeline mode: the streaming front-end plus every downstream
+    // Whole-pipeline mode: filter and match plus every downstream
     // characterization stage (identification, columns, classification, job
     // filter, propagation, vulnerability). Its obs snapshot is what puts the
     // per-stage characterization breakdown into the trajectory file —
@@ -156,16 +127,13 @@ int main(int argc, char** argv) {
     ModeResult m;
     m.name = "full";
     const auto run = [&data, &m](obs::Collector* obs) {
-      std::optional<par::ThreadPool> pool;
-      pool.emplace(par::configured_thread_count());
-      if (obs != nullptr) pool->set_obs(obs);
-      Context ctx = Context().with_pool(&*pool);
+      par::ThreadPool pool(par::configured_thread_count());
+      if (obs != nullptr) pool.set_obs(obs);
+      Context ctx = Context().with_pool(&pool);
       if (obs != nullptr) ctx.with_obs(obs);
       const core::CoAnalysisResult result =
           core::run_coanalysis(data.ras, data.jobs, {}, ctx);
       m.interruptions = result.matches.interruptions.size();
-      m.shards = result.shards_used;
-      m.peak_stage_state = result.peak_stage_state;
     };
     m.seconds = best_seconds([&run] { run(nullptr); }, reps);
     m.peak_rss_kb = forked_peak_rss_kb([&run] { run(nullptr); });
@@ -174,9 +142,6 @@ int main(int argc, char** argv) {
     m.obs_json = obs::snapshot_json(collector.snapshot());
     modes.push_back(m);
   }
-
-  const double batch_rps = static_cast<double>(records) / modes[0].seconds;
-  const double nshard_rps = static_cast<double>(records) / modes[2].seconds;  // stream-nshard
 
   std::printf("{\n");
   std::printf("  \"records\": %zu,\n", records);
@@ -188,14 +153,11 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < modes.size(); ++i) {
     const ModeResult& m = modes[i];
     std::printf("    {\"name\": \"%s\", \"seconds\": %.6f, \"records_per_sec\": %.0f, "
-                "\"peak_rss_kb\": %ld, \"shards\": %zu, \"peak_stage_state\": %zu, "
-                "\"interruptions\": %zu}%s\n",
-                m.name.c_str(), m.seconds,
-                static_cast<double>(records) / m.seconds, m.peak_rss_kb, m.shards,
-                m.peak_stage_state, m.interruptions, i + 1 < modes.size() ? "," : "");
+                "\"peak_rss_kb\": %ld, \"interruptions\": %zu}%s\n",
+                m.name.c_str(), m.seconds, static_cast<double>(records) / m.seconds,
+                m.peak_rss_kb, m.interruptions, i + 1 < modes.size() ? "," : "");
   }
-  std::printf("  ],\n");
-  std::printf("  \"nshard_vs_batch_speedup\": %.2f\n", nshard_rps / batch_rps);
+  std::printf("  ]\n");
   std::printf("}\n");
 
   // Machine-readable obs snapshots (spans + counters + histograms) for CI
@@ -207,14 +169,14 @@ int main(int argc, char** argv) {
     for (std::size_t i = 0; i < modes.size(); ++i) {
       const ModeResult& m = modes[i];
       out << "    {\"name\": \"" << m.name << "\", \"seconds\": " << m.seconds
-          << ", \"shards\": " << m.shards << ", \"obs\": " << m.obs_json << "}"
+          << ", \"obs\": " << m.obs_json << "}"
           << (i + 1 < modes.size() ? "," : "") << "\n";
     }
     out << "  ]\n}\n";
     std::fprintf(stderr, "obs snapshots written to BENCH_streaming.json\n");
   }
 
-  // The interruption lists must agree across every mode (byte-identity).
+  // Both modes must find the same interruptions.
   for (const ModeResult& m : modes) {
     if (m.interruptions != modes[0].interruptions) {
       std::fprintf(stderr, "MISMATCH: %s found %zu interruptions vs batch %zu\n",

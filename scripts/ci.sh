@@ -5,9 +5,9 @@
 # predict + bench + coverage).
 # Stages are preset names plus:
 #   smoke    — scenario-matrix smoke: every registered machine model runs
-#              every calibrated scenario pack through both co-analysis
-#              engines at a short horizon (perf_scenarios --smoke; whole
-#              matrix is well under a second, tier-1 budget).
+#              every calibrated scenario pack through the co-analysis at a
+#              short horizon (perf_scenarios --smoke; whole matrix is well
+#              under a second, tier-1 budget).
 #   daemon   — fleet-daemon smoke: start coral_daemon, feed two tenants
 #              (bgp + bgq) concurrently over the wire protocol, scrape
 #              /metrics mid-run (live, non-final per-tenant counters), and
@@ -102,7 +102,7 @@ case " ${PRESETS[*]} " in
 esac
 
 if [ "$RUN_SMOKE" -eq 1 ]; then
-  echo "==== [smoke] scenario matrix (machines x packs x engines) ===="
+  echo "==== [smoke] scenario matrix (machines x packs) ===="
   cmake --preset release
   cmake --build --preset release -j "$JOBS" --target perf_scenarios coral_logtool
   build/release/bench/perf_scenarios --smoke
@@ -233,10 +233,10 @@ if [ "$RUN_BENCH" -eq 1 ]; then
   done
   # Run from the bench dir: perf_streaming drops its BENCH_streaming.json
   # stage-timing artifact in cwd, which should stay out of the repo root.
-  # Best-of-7 reps (seed/shards at defaults): the per-mode wall numbers are
+  # Best-of-7 reps (seed at its default): the per-mode wall numbers are
   # only a few ms, and on shared CI VMs best-of-3 leaves enough scheduler
   # noise to trip the regression gate spuriously.
-  (cd "$BENCH_DIR" && ./perf_streaming 42 8 7) > "$BENCH_OUT/perf_streaming.json"
+  (cd "$BENCH_DIR" && ./perf_streaming 42 7) > "$BENCH_OUT/perf_streaming.json"
   echo "==== [bench] merge + regression gate ===="
   python3 scripts/merge_bench.py --out BENCH_coanalysis.json \
     --gbench "$BENCH_OUT"/perf_filtering.json "$BENCH_OUT"/perf_matching.json \

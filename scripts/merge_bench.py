@@ -25,9 +25,9 @@ any sane threshold.
 
 The perf_streaming per-mode wall numbers are recorded but never gated:
 they are fork-based wall measurements of a few-ms run, observed swinging
-2x best-of-7 on shared CI VMs. The streaming engine's gated regression
+2x best-of-7 on shared CI VMs. The co-analysis's gated regression
 coverage is the CPU-time BM_FullCoAnalysis / BM_EndToEndCoAnalysis
-series (run_coanalysis defaults to the streaming engine).
+series.
 """
 
 import argparse

@@ -10,8 +10,8 @@
 namespace coral {
 
 /// One measured pipeline stage: wall time plus how many records (or groups)
-/// flowed in and out. Stage names are stable identifiers ("ingest",
-/// "filter.coalesce", "matching", ...) so downstream tooling can aggregate
+/// flowed in and out. Stage names are stable identifiers ("filter.batch",
+/// "matching", "classification", ...) so downstream tooling can aggregate
 /// across runs.
 struct StageSample {
   std::string stage;
@@ -23,7 +23,7 @@ struct StageSample {
 /// Receives per-stage measurements from instrumented layers.
 ///
 /// Contract: `record` may be called from any worker thread of the analysis
-/// (sharded stages report per shard), so implementations must be
+/// (the pool fans stages out over its workers), so implementations must be
 /// thread-safe. The *null* sink — a nullptr in Context — is the
 /// zero-overhead default: instrumented code never reads a clock or builds a
 /// sample when no sink is attached.
@@ -42,8 +42,8 @@ class RecordingSink final : public InstrumentationSink {
 
   std::vector<StageSample> samples() const;
 
-  /// Total wall-ms across every sample with this stage name (a sharded
-  /// stage reports once per shard).
+  /// Total wall-ms across every sample with this stage name (a stage run
+  /// more than once reports once per run).
   double total_ms(std::string_view stage) const;
 
   /// JSON array of {"stage", "wall_ms", "in", "out"} objects.

@@ -20,7 +20,7 @@ namespace coral {
 /// the context runs (for the default catalog that is the whole process).
 /// Every layer that used to consult process-global state — fault injection,
 /// the synthetic workload, RAS ingest/serialization, filtering, the core
-/// reports and both co-analysis engines — takes a Context (or the relevant
+/// reports and the co-analysis — takes a Context (or the relevant
 /// member) instead, so two analyses over *different* catalogs can run
 /// concurrently in one process.
 ///

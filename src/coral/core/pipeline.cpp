@@ -1,13 +1,29 @@
 #include "coral/core/pipeline.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <set>
 #include <utility>
 
-#include "coral/stream/accumulators.hpp"
-#include "coral/stream/coanalysis.hpp"
+#include "coral/common/error.hpp"
 
 namespace coral::core {
+
+namespace {
+
+/// Fit the interarrival series of `times` into `out`. Leaves `out` unset
+/// below 3 events, and when every gap is equal (all events at one instant,
+/// or a constant period): the Weibull MLE has no finite optimum there.
+void fit_series(std::span<const TimePoint> times, InterarrivalFit& out) {
+  if (times.size() < 3) return;
+  std::vector<double> gaps = interarrival_seconds(times);
+  if (std::adjacent_find(gaps.begin(), gaps.end(), std::not_equal_to<>()) == gaps.end()) {
+    return;
+  }
+  out = fit_interarrivals(std::move(gaps));
+}
+
+}  // namespace
 
 IngestedLogs ingest_csv_logs(std::istream& ras_in, std::istream& jobs_in, ParseMode mode,
                              const Context& ctx) {
@@ -78,31 +94,33 @@ CoAnalysisResult complete_coanalysis(filter::FilterPipelineResult filtered,
     timer.counts(r.matches.interruptions.size(), jobs.size());
   }
 
-  // Interarrival fits (§V-A, Table IV; Fig. 3), via the incremental
-  // accumulators. Feeding in group order reproduces the batch series.
-  stream::InterarrivalAccumulator before_filter, after_filter;
+  // Interarrival fits (§V-A, Table IV; Fig. 3): group representatives
+  // before and after job-related filtering.
+  std::vector<TimePoint> times;
+  times.reserve(r.filtered.groups.size());
   for (const filter::EventGroup& g : r.filtered.groups) {
-    before_filter.add(r.filtered.fatal_events[g.rep].event_time);
+    times.push_back(r.filtered.fatal_events[g.rep].event_time);
   }
+  fit_series(times, r.fatal_before_jobfilter);
+  times.clear();
   for (const std::size_t idx : r.job_filter.kept) {
-    after_filter.add(r.filtered.fatal_events[r.filtered.groups[idx].rep].event_time);
+    times.push_back(r.filtered.fatal_events[r.filtered.groups[idx].rep].event_time);
   }
-  if (auto fit = before_filter.fit()) r.fatal_before_jobfilter = std::move(*fit);
-  if (auto fit = after_filter.fit()) r.fatal_after_jobfilter = std::move(*fit);
+  fit_series(times, r.fatal_after_jobfilter);
 
   // Interruption interarrivals by cause (§VI-B, Table V; Fig. 6).
-  stream::InterarrivalAccumulator sys_acc, app_acc;
+  std::vector<TimePoint> sys_times, app_times;
   for (const Interruption& in : r.matches.interruptions) {
     const ras::ErrcodeId code =
         r.filtered.fatal_events[r.filtered.groups[in.group].rep].errcode;
     const bool app = r.classification.by_code.count(code) != 0 &&
                      r.classification.by_code.at(code).cause == Cause::ApplicationError;
-    (app ? app_acc : sys_acc).add(in.time);
+    (app ? app_times : sys_times).push_back(in.time);
   }
-  r.system_interruptions = sys_acc.count();
-  r.application_interruptions = app_acc.count();
-  if (auto fit = sys_acc.fit()) r.interruptions_system = std::move(*fit);
-  if (auto fit = app_acc.fit()) r.interruptions_application = std::move(*fit);
+  r.system_interruptions = sys_times.size();
+  r.application_interruptions = app_times.size();
+  fit_series(sys_times, r.interruptions_system);
+  fit_series(app_times, r.interruptions_application);
 
   // Distinct interrupted executables (paper: 308 jobs, 167 distinct).
   std::set<joblog::ExecId> distinct;
@@ -114,68 +132,76 @@ CoAnalysisResult complete_coanalysis(filter::FilterPipelineResult filtered,
   // Fig. 5: interruptions per day. The job log's first submission anchors
   // day 0, and a non-empty job log always materializes at least one bucket.
   if (!jobs.empty()) {
-    stream::DailyCounter daily(jobs.summary().first_submit);
-    for (const Interruption& in : r.matches.interruptions) daily.add(in.time);
-    daily.ensure_days(1);
-    r.interruptions_per_day = daily.take();
+    const TimePoint origin = jobs.summary().first_submit;
+    r.interruptions_per_day.assign(1, 0);
+    for (const Interruption& in : r.matches.interruptions) {
+      const std::int64_t day = in.time.days_since(origin);
+      CORAL_EXPECTS(day >= 0);
+      const auto bucket = static_cast<std::size_t>(day);
+      if (bucket >= r.interruptions_per_day.size()) {
+        r.interruptions_per_day.resize(bucket + 1, 0);
+      }
+      r.interruptions_per_day[bucket] += 1;
+    }
   }
 
-  // Fig. 4 series.
-  stream::MidplaneTallies tallies(jobs.machine());
+  // Fig. 4 series: fatal groups per midplane (a rack-level representative
+  // splits its count evenly over the rack's midplanes) and workload in
+  // midplane-seconds, all jobs and wide jobs.
+  const machine::MachineModel& machine = jobs.machine();
+  const auto midplanes = static_cast<std::size_t>(machine.midplane_count());
+  const int per_rack = machine.codec().midplanes_per_rack;
+  r.fatal_events_per_midplane.assign(midplanes, 0.0);
+  r.workload_per_midplane.assign(midplanes, 0.0);
+  r.wide_workload_per_midplane.assign(midplanes, 0.0);
   for (const filter::EventGroup& g : r.filtered.groups) {
-    tallies.add_group_rep(r.filtered.fatal_events[g.rep].location);
+    const bgp::Location& loc = r.filtered.fatal_events[g.rep].location;
+    if (const auto mid = loc.midplane_id()) {
+      r.fatal_events_per_midplane[static_cast<std::size_t>(*mid)] += 1;
+    } else {
+      const int first = loc.rack_index() * per_rack;
+      const double share = 1.0 / per_rack;
+      for (int i = 0; i < per_rack; ++i) {
+        r.fatal_events_per_midplane[static_cast<std::size_t>(first + i)] += share;
+      }
+    }
   }
-  for (const joblog::JobRecord& job : jobs) tallies.add_job(job);
-  r.fatal_events_per_midplane = tallies.fatal_events;
-  r.workload_per_midplane = tallies.workload_sec;
-  r.wide_workload_per_midplane = tallies.wide_workload_sec;
+  const int wide_threshold = machine.placement_zones().wide_threshold;
+  for (const joblog::JobRecord& job : jobs) {
+    const double seconds =
+        static_cast<double>(job.runtime()) / static_cast<double>(kUsecPerSec);
+    const bool wide = job.size_midplanes() >= wide_threshold;
+    for (bgp::MidplaneId m : job.partition.midplanes()) {
+      r.workload_per_midplane[static_cast<std::size_t>(m)] += seconds;
+      if (wide) r.wide_workload_per_midplane[static_cast<std::size_t>(m)] += seconds;
+    }
+  }
   return r;
 }
 
 CoAnalysisResult run_coanalysis(const ras::RasLog& ras, const joblog::JobLog& jobs,
                                 const CoAnalysisConfig& config, const Context& ctx) {
-  filter::FilterPipelineResult filtered;
-  MatchResult matches;
-  std::size_t shards_used = 1;
-  std::size_t peak_state = 0;
   par::ThreadPool* pool = ctx.pool();
 
-  if (config.execution.engine == Engine::Streaming) {
-    stream::FrontEndConfig fe;
-    fe.filters = config.filters;
-    fe.match_window = config.matching.window;
-    fe.shards = config.execution.shards;
-    stream::FrontEndResult front =
-        stream::run_streaming_frontend(ras, jobs, fe, Context(ctx).with_pool(pool));
-    filtered = std::move(front.filtered);
-    matches = std::move(front.matches);
-    shards_used = front.shards_used;
-    peak_state = front.peak_stage_state;
-  } else {
-    // Step 0: temporal-spatial + causality filtering of FATAL records.
-    StageTimer filter_timer(ctx.sink(), "filter.batch");
-    filter::FilterPipelineConfig filter_config = config.filters;
-    if (filter_config.causality.pool == nullptr) filter_config.causality.pool = pool;
-    if (filter_config.obs == nullptr) filter_config.obs = ctx.obs();
-    filtered = filter::run_filter_pipeline(ras, filter_config);
-    filter_timer.counts(ras.size(), filtered.groups.size());
-    filter_timer.report();
+  // Step 0: temporal-spatial + causality filtering of FATAL records.
+  StageTimer filter_timer(ctx.sink(), "filter.batch");
+  filter::FilterPipelineConfig filter_config = config.filters;
+  if (filter_config.causality.pool == nullptr) filter_config.causality.pool = pool;
+  if (filter_config.obs == nullptr) filter_config.obs = ctx.obs();
+  filter::FilterPipelineResult filtered = filter::run_filter_pipeline(ras, filter_config);
+  filter_timer.counts(ras.size(), filtered.groups.size());
+  filter_timer.report();
 
-    // Step 1: match fatal events against job terminations.
-    StageTimer match_timer(ctx.sink(), "matching");
-    MatchConfig match_config = config.matching;
-    if (match_config.pool == nullptr) match_config.pool = pool;
-    if (match_config.obs == nullptr) match_config.obs = ctx.obs();
-    matches = match_interruptions(filtered, jobs, match_config);
-    match_timer.counts(filtered.groups.size(), matches.interruptions.size());
-  }
+  // Step 1: match fatal events against job terminations.
+  StageTimer match_timer(ctx.sink(), "matching");
+  MatchConfig match_config = config.matching;
+  if (match_config.pool == nullptr) match_config.pool = pool;
+  if (match_config.obs == nullptr) match_config.obs = ctx.obs();
+  MatchResult matches = match_interruptions(filtered, jobs, match_config);
+  match_timer.counts(filtered.groups.size(), matches.interruptions.size());
+  match_timer.report();
 
-  CoAnalysisResult r =
-      complete_coanalysis(std::move(filtered), std::move(matches), jobs, config, ctx);
-  r.engine_used = config.execution.engine;
-  r.shards_used = shards_used;
-  r.peak_stage_state = peak_state;
-  return r;
+  return complete_coanalysis(std::move(filtered), std::move(matches), jobs, config, ctx);
 }
 
 }  // namespace coral::core

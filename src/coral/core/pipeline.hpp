@@ -30,25 +30,6 @@ IngestedLogs ingest_csv_logs(std::istream& ras_in, std::istream& jobs_in,
                              ParseMode mode = ParseMode::Strict,
                              const Context& ctx = {});
 
-/// Which front-end (filtering + matching) implementation drives the
-/// methodology. Both produce byte-identical results; they differ in how
-/// they traverse the logs.
-enum class Engine {
-  /// Single-pass streaming stages with window-bounded state, optionally
-  /// sharded over the time axis (see stream/coanalysis.hpp). The default.
-  Streaming,
-  /// The original whole-log batch passes (filter::run_filter_pipeline +
-  /// match_interruptions).
-  Batch,
-};
-
-struct ExecutionConfig {
-  Engine engine = Engine::Streaming;
-  /// Target time-axis shard count for the streaming engine (cut only at
-  /// quiesce gaps, so any value is exact). Ignored by the batch engine.
-  int shards = 1;
-};
-
 /// Every knob of the co-analysis, in one place. The worker pool is not a
 /// config knob: select it via coral::Context::with_pool (the deprecated
 /// `pool` member was removed after its one-cycle grace period).
@@ -60,7 +41,6 @@ struct CoAnalysisConfig {
   JobFilterConfig job_filter;
   PropagationConfig propagation;
   VulnerabilityConfig vulnerability;
-  ExecutionConfig execution;
 };
 
 /// Complete output of the paper's methodology (Fig. 1) over one log pair.
@@ -74,7 +54,9 @@ struct CoAnalysisResult {
   VulnerabilityResult vulnerability;         ///< §VI-D
 
   // Interarrival fits (Fig. 3 / Table IV): fatal events before and after
-  // job-related filtering.
+  // job-related filtering. A fit stays default-constructed (no samples) when
+  // its series has fewer than 3 events or its gaps take fewer than two
+  // distinct values, which neither model can be fitted to.
   InterarrivalFit fatal_before_jobfilter;
   InterarrivalFit fatal_after_jobfilter;
   // Interruption interarrival fits by cause (Fig. 6 / Table V).
@@ -99,30 +81,26 @@ struct CoAnalysisResult {
   std::size_t system_interruptions = 0;
   std::size_t application_interruptions = 0;
   std::size_t distinct_interrupted_jobs = 0;  ///< distinct executables
-
-  // Execution trace of the front-end that produced `filtered`/`matches`.
-  Engine engine_used = Engine::Batch;
-  std::size_t shards_used = 1;
-  /// Streaming engine only: largest simultaneously buffered stage state —
-  /// bounded by the coalescing/matching windows, not the log length.
-  std::size_t peak_stage_state = 0;
 };
 
 /// Run the identification / classification / job-filter steps and the §V/§VI
-/// characterization analyses on an already filtered + matched log pair. This
-/// is the engine-independent back half of run_coanalysis, exposed so
-/// streaming callers can complete a front-end they drove themselves.
+/// characterization analyses on an already filtered + matched log pair: the
+/// back half of run_coanalysis, exposed so a caller that ran
+/// filter::run_filter_pipeline and match_interruptions itself (to time or
+/// inspect them separately) can finish the analysis exactly as
+/// run_coanalysis would.
 CoAnalysisResult complete_coanalysis(filter::FilterPipelineResult filtered,
                                      MatchResult matches, const joblog::JobLog& jobs,
                                      const CoAnalysisConfig& config = {},
                                      const Context& ctx = {});
 
 /// Run the full co-analysis (all three methodology steps plus the §V/§VI
-/// characterization analyses) on a RAS log + job log pair. A thin
-/// composition: the configured engine produces the filtered groups and the
-/// RAS↔job matches, then complete_coanalysis derives everything else.
-/// The context supplies the worker pool for the data-parallel stages and
-/// the instrumentation sink for per-stage timings; results are identical
+/// characterization analyses) on a RAS log + job log pair: filter the FATAL
+/// records (filter::run_filter_pipeline), match them against job
+/// terminations (match_interruptions), then complete_coanalysis derives
+/// everything else. Empty or one-sided logs yield a defined (possibly empty)
+/// result. The context supplies the worker pool for the data-parallel stages
+/// and the instrumentation sink for per-stage timings; results are identical
 /// with or without either.
 CoAnalysisResult run_coanalysis(const ras::RasLog& ras, const joblog::JobLog& jobs,
                                 const CoAnalysisConfig& config = {},

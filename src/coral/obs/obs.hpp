@@ -25,7 +25,7 @@ using Clock = std::chrono::steady_clock;
 /// index (into Collector::snapshot().spans) of the span that was open on the
 /// same collector when this one started, or -1 for a root.
 struct SpanRecord {
-  std::string name;         ///< stable stage identifier ("filter.coalesce", ...)
+  std::string name;         ///< stable stage identifier ("filter.temporal", ...)
   std::int64_t start_us = 0;  ///< relative to the collector epoch
   std::int64_t dur_us = 0;
   std::uint32_t tid = 0;    ///< dense per-collector thread number (0 = first seen)
@@ -105,8 +105,8 @@ struct Snapshot {
   /// (see Collector::set_span_capacity); 0 for unbounded collectors.
   std::uint64_t spans_dropped = 0;
 
-  /// Total wall-ms across every span with this name (a sharded stage records
-  /// one span per shard).
+  /// Total wall-ms across every span with this name (a stage run more than
+  /// once records one span per run).
   double total_ms(std::string_view name) const;
   /// Sum of a counter by name (0 when absent).
   std::uint64_t counter_value(std::string_view name) const;

@@ -133,7 +133,7 @@ class RasLog {
   /// bit-flipped log still yields every intact record. When `sink` is given
   /// an "ingest.ras_csv" stage sample (wall time, rows seen -> rows kept)
   /// plus per-reason malformed counters are recorded, alongside whatever
-  /// stage timings the analysis engines emit into the same sink.
+  /// stage timings the analysis emits into the same sink.
   /// Location strings are validated against `machine`'s grammar; the
   /// returned log is stamped with that model.
   static RasLog read_csv(std::istream& in, const Catalog& catalog = default_catalog(),

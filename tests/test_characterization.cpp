@@ -5,7 +5,7 @@
 // inputs (CharColumns). This file freezes the original map/set reference
 // implementations verbatim and pins the rewrite against them: every
 // statistic in the result structs must match EXPECT_DOUBLE_EQ /
-// EXPECT_EQ-exactly — not approximately — across seeds, both engines, and
+// EXPECT_EQ-exactly — not approximately — across seeds and
 // the threaded path. (The paper-number goldens in test_paper_golden.cpp
 // and test_core_analysis.cpp run through the same public entry points, so
 // they exercise the columnar path too; this suite is the byte-identity
@@ -617,17 +617,14 @@ const synth::SynthResult& scenario(std::uint64_t seed) {
   return it->second;
 }
 
-core::CoAnalysisResult run_engine(std::uint64_t seed, core::Engine engine,
-                                  par::ThreadPool* pool = nullptr) {
+core::CoAnalysisResult analyze(std::uint64_t seed, par::ThreadPool* pool = nullptr) {
   const synth::SynthResult& data = scenario(seed);
-  core::CoAnalysisConfig config;
-  config.execution.engine = engine;
   Context ctx;
   if (pool != nullptr) ctx.with_pool(pool);
-  return core::run_coanalysis(data.ras, data.jobs, config, ctx);
+  return core::run_coanalysis(data.ras, data.jobs, {}, ctx);
 }
 
-// Run every frozen reference stage on the engine's own filter/match output
+// Run every frozen reference stage on the analysis's own filter/match output
 // and require exact agreement with the columnar results it shipped.
 void expect_matches_reference(std::uint64_t seed, const core::CoAnalysisResult& r) {
   const joblog::JobLog& jobs = scenario(seed).jobs;
@@ -644,31 +641,18 @@ void expect_matches_reference(std::uint64_t seed, const core::CoAnalysisResult& 
                           r.vulnerability);
 }
 
-TEST(CharacterizationDifferential, StreamingEngineAcrossSeeds) {
+TEST(CharacterizationDifferential, FrozenReferencesAcrossSeeds) {
   for (const std::uint64_t seed : {3ull, 17ull, 29ull}) {
     SCOPED_TRACE(testing::Message() << "seed " << seed);
-    expect_matches_reference(seed, run_engine(seed, core::Engine::Streaming));
+    expect_matches_reference(seed, analyze(seed));
   }
-}
-
-TEST(CharacterizationDifferential, BatchEngine) {
-  expect_matches_reference(17, run_engine(17, core::Engine::Batch));
 }
 
 TEST(CharacterizationDifferential, ThreadedPathIsDeterministic) {
   // The columnar stages fan loops over the pool; the frozen references are
   // serial, so agreement here pins the parallel path to the serial answer.
   par::ThreadPool pool(4);
-  expect_matches_reference(17, run_engine(17, core::Engine::Streaming, &pool));
-}
-
-TEST(CharacterizationDifferential, EnginesAgreeOnEveryStatistic) {
-  const core::CoAnalysisResult streaming = run_engine(17, core::Engine::Streaming);
-  const core::CoAnalysisResult batch = run_engine(17, core::Engine::Batch);
-  expect_classification_eq(batch.classification, streaming.classification);
-  expect_jobfilter_eq(batch.job_filter, streaming.job_filter);
-  expect_propagation_eq(batch.propagation, streaming.propagation);
-  expect_vulnerability_eq(batch.vulnerability, streaming.vulnerability);
+  expect_matches_reference(17, analyze(17, &pool));
 }
 
 // ---------------------------------------------------------------------------

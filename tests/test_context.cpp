@@ -172,15 +172,12 @@ TEST(ContextToyCatalog, GeneratorAndAnalysisRediscoverGroundTruth) {
 TEST(ContextConcurrency, TwoCatalogsOnSeparateThreadsMatchSequentialRuns) {
   const ras::Catalog toy = toy_catalog();
 
-  core::CoAnalysisConfig sharded;
-  sharded.execution.shards = 3;
-
   // Sequential reference runs.
   const synth::SynthResult seq_intrepid = synth::generate(synth::small_scenario(51, 21));
   const auto seq_intrepid_r =
-      core::run_coanalysis(seq_intrepid.ras, seq_intrepid.jobs, sharded);
+      core::run_coanalysis(seq_intrepid.ras, seq_intrepid.jobs);
   const synth::SynthResult seq_toy = synth::generate(toy_scenario(11), Context(toy));
-  const auto seq_toy_r = core::run_coanalysis(seq_toy.ras, seq_toy.jobs, sharded);
+  const auto seq_toy_r = core::run_coanalysis(seq_toy.ras, seq_toy.jobs);
 
   // The same generation + analysis, concurrently, each thread on its own
   // context (distinct catalog, own pool).
@@ -191,14 +188,14 @@ TEST(ContextConcurrency, TwoCatalogsOnSeparateThreadsMatchSequentialRuns) {
     const Context ctx = Context().with_pool(&pool);
     const synth::SynthResult data = synth::generate(synth::small_scenario(51, 21), ctx);
     conc_intrepid_ras = data.ras.size();
-    conc_intrepid_r = core::run_coanalysis(data.ras, data.jobs, sharded, ctx);
+    conc_intrepid_r = core::run_coanalysis(data.ras, data.jobs, {}, ctx);
   });
   std::thread toy_thread([&] {
     par::ThreadPool pool(2);
     const Context ctx = Context(toy).with_pool(&pool);
     const synth::SynthResult data = synth::generate(toy_scenario(11), ctx);
     conc_toy_ras = data.ras.size();
-    conc_toy_r = core::run_coanalysis(data.ras, data.jobs, sharded, ctx);
+    conc_toy_r = core::run_coanalysis(data.ras, data.jobs, {}, ctx);
   });
   intrepid_thread.join();
   toy_thread.join();
@@ -226,41 +223,25 @@ TEST(ContextInstrumentation, SinkRecordsStagesWithoutChangingResults) {
                                  [name](const StageSample& s) { return s.stage == name; });
     return it == samples.end() ? nullptr : &*it;
   };
-  // Streaming front-end stages plus the engine-independent back half.
-  for (const char* name : {"ingest", "filter.coalesce", "filter.match", "merge",
-                           "identification", "classification", "job_filter",
-                           "propagation", "vulnerability"}) {
+  // The filter and match stages, then the characterization back half.
+  for (const char* name : {"filter.batch", "matching", "identification", "char.columns",
+                           "classification", "job_filter", "propagation",
+                           "vulnerability"}) {
     EXPECT_NE(stage(name), nullptr) << name;
   }
-  const StageSample* ingest = stage("ingest");
-  ASSERT_NE(ingest, nullptr);
-  EXPECT_EQ(ingest->in, data.ras.size());
-  EXPECT_EQ(ingest->out, data.ras.summary().fatal_records);
-  const StageSample* merge = stage("merge");
-  ASSERT_NE(merge, nullptr);
-  EXPECT_EQ(merge->out, instrumented.matches.interruptions.size());
+  const StageSample* filter = stage("filter.batch");
+  ASSERT_NE(filter, nullptr);
+  EXPECT_EQ(filter->in, data.ras.size());
+  EXPECT_EQ(filter->out, instrumented.filtered.groups.size());
+  const StageSample* matching = stage("matching");
+  ASSERT_NE(matching, nullptr);
+  EXPECT_EQ(matching->in, instrumented.filtered.groups.size());
+  EXPECT_EQ(matching->out, instrumented.matches.interruptions.size());
 
   const std::string json = sink.to_json();
   EXPECT_EQ(json.front(), '[');
-  EXPECT_NE(json.find("\"stage\": \"ingest\""), std::string::npos);
-  EXPECT_GE(sink.total_ms("ingest"), 0.0);
-}
-
-TEST(ContextInstrumentation, BatchEngineReportsItsOwnStages) {
-  const synth::SynthResult& data = intrepid_data();
-  core::CoAnalysisConfig config;
-  config.execution.engine = core::Engine::Batch;
-  RecordingSink sink;
-  const auto r = core::run_coanalysis(data.ras, data.jobs, config, Context().with_sink(&sink));
-  EXPECT_EQ(r.engine_used, core::Engine::Batch);
-  const auto samples = sink.samples();
-  const auto has = [&samples](std::string_view name) {
-    return std::any_of(samples.begin(), samples.end(),
-                       [name](const StageSample& s) { return s.stage == name; });
-  };
-  EXPECT_TRUE(has("filter.batch"));
-  EXPECT_TRUE(has("matching"));
-  EXPECT_FALSE(has("ingest"));  // streaming-only stage
+  EXPECT_NE(json.find("\"stage\": \"filter.batch\""), std::string::npos);
+  EXPECT_GE(sink.total_ms("filter.batch"), 0.0);
 }
 
 // ---- seed policy --------------------------------------------------------
@@ -293,13 +274,11 @@ TEST(ContextSeed, SeedOffsetDecorrelatesGeneration) {
 
 TEST(ContextPool, ContextPoolMatchesSerial) {
   const synth::SynthResult& data = intrepid_data();
-  core::CoAnalysisConfig sharded;
-  sharded.execution.shards = 2;
-  const auto serial = core::run_coanalysis(data.ras, data.jobs, sharded);
+  const auto serial = core::run_coanalysis(data.ras, data.jobs);
 
   par::ThreadPool pool(2);
-  const auto via_ctx = core::run_coanalysis(data.ras, data.jobs, sharded,
-                                            Context().with_pool(&pool));
+  const auto via_ctx =
+      core::run_coanalysis(data.ras, data.jobs, {}, Context().with_pool(&pool));
   expect_same(serial, via_ctx);
 }
 

@@ -1,6 +1,6 @@
 // Prediction subsystem suite: rule-miner ground truth, RuleTable
 // serialization hardening, online/offline predictor parity, determinism
-// across worker pools and engines, and the evaluation floors the CI
+// across worker pools, and the evaluation floors the CI
 // prediction stage gates on.
 //
 // The labeled corpus lives in predict_fixture.hpp: every chain count is
@@ -387,7 +387,7 @@ TEST(PredictSessionParity, SessionWithoutRulesPredictsNothing) {
 
 // ---------------------------------------------------------------------------
 // Determinism: mined rules and evaluation metrics are exact-equal whatever
-// the worker pool or front-end engine (the test_characterization.cpp
+// the worker pool (the test_characterization.cpp
 // contract, extended to the prediction stages).
 
 TEST(PredictDeterminism, MinerExactAcrossThreadPools) {
@@ -403,26 +403,23 @@ TEST(PredictDeterminism, MinerExactAcrossThreadPools) {
   }
 }
 
-TEST(PredictDeterminism, MinerExactAcrossEnginesAndPools) {
+TEST(PredictDeterminism, MinerExactAcrossPools) {
   synth::ScenarioConfig scenario =
       synth::pack_scenario(machine::bgp_model(), "correlated_cascade", 11, 3);
   const synth::SynthResult synth = synth::generate(scenario);
 
-  core::CoAnalysisConfig batch_cfg;
-  batch_cfg.execution.engine = core::Engine::Batch;
-  const predict::RuleTable batch = predict::mine_rules(
-      core::run_coanalysis(synth.ras, synth.jobs, batch_cfg), synth.jobs);
-  ASSERT_FALSE(batch.empty());
+  const predict::RuleTable serial =
+      predict::mine_rules(core::run_coanalysis(synth.ras, synth.jobs), synth.jobs);
+  ASSERT_FALSE(serial.empty());
 
-  core::CoAnalysisConfig stream_cfg;
-  stream_cfg.execution.engine = core::Engine::Streaming;
-  stream_cfg.execution.shards = 3;
-  par::ThreadPool pool(4);
-  Context ctx;
-  ctx.with_pool(&pool);
-  const predict::RuleTable streamed = predict::mine_rules(
-      core::run_coanalysis(synth.ras, synth.jobs, stream_cfg, ctx), synth.jobs, {}, ctx);
-  EXPECT_EQ(streamed, batch);
+  for (const std::size_t threads : {2u, 4u}) {
+    par::ThreadPool pool(threads);
+    Context ctx;
+    ctx.with_pool(&pool);
+    const predict::RuleTable pooled = predict::mine_rules(
+        core::run_coanalysis(synth.ras, synth.jobs, {}, ctx), synth.jobs, {}, ctx);
+    EXPECT_EQ(pooled, serial) << threads << " threads";
+  }
 }
 
 TEST(PredictDeterminism, PolicyComparisonExactAcrossThreadPools) {

@@ -361,12 +361,27 @@ TEST(SessionLifecycle, SnapshotTracksLiveProgress) {
   EXPECT_TRUE(session.snapshot().finalized);
 }
 
-TEST(SessionLifecycle, EmptySessionPropagatesEngineEmptyInputError) {
-  // Parity cuts both ways: the offline engine refuses an empty job log
-  // (there is nothing to rank vulnerability over), so an empty session's
-  // finalize surfaces the same error instead of inventing a result.
+TEST(SessionLifecycle, EmptySessionFinalizesToEmptyResult) {
+  // A tenant that never received data finalizes to the defined empty
+  // analysis — the same one the offline engine gives two empty logs.
   stream::Session session("empty", {}, Context{});
-  EXPECT_THROW((void)session.finalize(), InvalidArgument);
+  const stream::SessionResult r = session.finalize();
+  EXPECT_TRUE(session.snapshot().finalized);
+  EXPECT_TRUE(r.ras.empty());
+  EXPECT_TRUE(r.jobs.empty());
+  EXPECT_EQ(r.analysis.interruption_count(), 0u);
+  EXPECT_TRUE(r.analysis.filtered.groups.empty());
+  for (const core::FeatureRanking& ranking : r.analysis.vulnerability.features) {
+    EXPECT_TRUE(ranking.ranked.empty());
+  }
+  EXPECT_TRUE(r.analysis.fatal_before_jobfilter.samples_sec.empty());
+  EXPECT_TRUE(r.analysis.interruptions_per_day.empty());
+
+  const ras::RasLog no_ras(std::vector<ras::RasEvent>{});
+  joblog::JobLog no_jobs;
+  no_jobs.finalize();
+  EXPECT_EQ(fleet::result_fingerprint(r.analysis),
+            fleet::result_fingerprint(core::run_coanalysis(no_ras, no_jobs)));
 }
 
 }  // namespace
