@@ -93,6 +93,7 @@ struct Daemon::Tenant {
   std::unique_ptr<stream::Session> session;
   std::mutex mu;              ///< guards complete_body
   std::string complete_body;  ///< cached Finalize reply (idempotent Q)
+  std::mutex finalize_mu;     ///< one finalize per tenant, however many connections ask
 };
 
 class Daemon::Impl {
@@ -262,21 +263,23 @@ class Daemon::Impl {
     return out;
   }
 
-  /// Run one tenant's finalize and build the Complete reply. Serialized
-  /// across tenants: they share one analysis pool, and ThreadPool::wait_idle
-  /// is a whole-pool barrier, so interleaved finalizes would observe each
-  /// other's tasks.
+  /// Run one tenant's finalize and build the Complete reply. The session
+  /// finalize is serialized across tenants: they share one analysis pool,
+  /// and ThreadPool::wait_idle is a whole-pool barrier, so interleaved
+  /// finalizes would observe each other's tasks. The reply fingerprints use
+  /// no pool and run outside that lock.
   std::string finalize_tenant(Tenant& t) {
+    std::lock_guard<std::mutex> once(t.finalize_mu);
     {
       std::lock_guard<std::mutex> lock(t.mu);
       if (!t.complete_body.empty()) return t.complete_body;
     }
-    std::lock_guard<std::mutex> flock(finalize_mu_);
+    std::optional<stream::SessionResult> result;
     {
-      std::lock_guard<std::mutex> lock(t.mu);
-      if (!t.complete_body.empty()) return t.complete_body;
+      std::lock_guard<std::mutex> flock(finalize_mu_);
+      result.emplace(t.session->finalize());
     }
-    const stream::SessionResult r = t.session->finalize();
+    const stream::SessionResult& r = *result;
     std::string body;
     body += "tenant=" + t.name + "\n";
     body += "result_fp=" + hex64(result_fingerprint(r.analysis)) + "\n";

@@ -45,9 +45,14 @@ void JobLog::append(JobRecord job) {
 }
 
 void JobLog::finalize() {
-  std::stable_sort(jobs_.begin(), jobs_.end(), [](const JobRecord& a, const JobRecord& b) {
+  const auto by_start = [](const JobRecord& a, const JobRecord& b) {
     return a.start_time < b.start_time;
-  });
+  };
+  // Readers deliver logs written from a finalized JobLog, already in start
+  // order; a stable sort of sorted input is the identity, so skip it.
+  if (!std::is_sorted(jobs_.begin(), jobs_.end(), by_start)) {
+    std::stable_sort(jobs_.begin(), jobs_.end(), by_start);
+  }
   max_end_prefix_.resize(jobs_.size());
   TimePoint running_max;
   for (std::size_t i = 0; i < jobs_.size(); ++i) {

@@ -5,7 +5,6 @@
 #include <fstream>
 #include <limits>
 #include <istream>
-#include <iterator>
 #include <memory>
 #include <optional>
 #include <ostream>
@@ -78,70 +77,133 @@ RasLog read_region_sequential(std::string_view region, const Catalog& catalog,
   return log;
 }
 
+/// One chunk of a pooled read. Its records go straight into its slice
+/// [begin, begin + emitted) of the presized event array.
 struct ChunkOut {
-  std::vector<RasEvent> events;
+  std::size_t begin = 0;    ///< slice start; after settle_chunks, the compacted start
+  std::size_t end = 0;      ///< slice end, as presized
+  std::size_t emitted = 0;  ///< records the slice cursor wrote
   IngestReport rep;
   std::uint64_t attempted = 0;
   bin::BlockCounters blocks;
-  FatalColumns fatal;      ///< v3: fatal gather from emit; log_index is chunk-local
+  FatalColumns fatal;      ///< v3: fatal gather from emit, global log_index
   bool sorted = true;      ///< v3: chunk-local time order held at emit
-  bool damaged = false;    ///< lenient CRC failure: whole read falls back
+  bool fall_back = false;  ///< CRC damage or slice overflow: the sequential reader decides
   std::string error;       ///< strict: first error in block order
   bool has_error = false;
 };
 
-/// Merge per-chunk results in chunk (== input) order into the caller's
-/// report and the output event vector.
-std::uint64_t merge_chunks(std::vector<ChunkOut>& outs, std::vector<RasEvent>& events,
-                           IngestReport& rep, bin::BlockCounters& blocks) {
-  std::uint64_t attempted = 0;
-  if (outs.size() == 1) {
-    events = std::move(outs[0].events);
-    rep.merge(outs[0].rep);
-    blocks.merge(outs[0].blocks);
-    return outs[0].attempted;
+std::size_t chunk_count(std::size_t nblocks, par::ThreadPool& pool) {
+  // 4 chunks per thread for load balance.
+  return std::max<std::size_t>(1, std::min(nblocks, pool.thread_count() * 4));
+}
+
+/// Declared record count of a record block: a u32 right after the tag byte,
+/// in both 'R' and 'C' payloads. Read before the CRC check, so it is only a
+/// size hint; the decode loop re-reads it and the slice bound holds it to
+/// what was sized.
+std::uint32_t declared_count(const char* base, const bin::FrameRef& fr) {
+  std::uint32_t n = 0;
+  if (fr.size >= 1 + sizeof n) {
+    std::memcpy(&n, base + fr.offset + bin::kBlockHeaderBytes + 1, sizeof n);
   }
-  std::size_t total = 0;
-  for (const ChunkOut& out : outs) total += out.events.size();
-  events.reserve(total);
+  return n;
+}
+
+/// Presize `events` to the summed block counts (`at` holds their prefix
+/// sums) and place each chunk's slice over its block range
+/// [c * nblocks / chunks, (c + 1) * nblocks / chunks). False when the sum
+/// exceeds what the region could physically hold — the cap the sequential
+/// reader puts on its reservation — so a corrupt count defers to it instead
+/// of forcing a huge allocation.
+bool presize(std::vector<RasEvent>& events, std::vector<ChunkOut>& outs,
+             const std::vector<std::size_t>& at, std::size_t cap) {
+  if (at.back() > cap) return false;
+  events.resize(at.back());
+  const std::size_t nblocks = at.size() - 1;
+  for (std::size_t c = 0; c < outs.size(); ++c) {
+    outs[c].begin = at[c * nblocks / outs.size()];
+    outs[c].end = at[(c + 1) * nblocks / outs.size()];
+  }
+  return true;
+}
+
+/// Defer to the sequential reader, or throw the first strict error in input
+/// order (chunks cover ascending block ranges and each stops at its first
+/// error, so the earliest chunk's capture is the sequential reader's error).
+bool must_fall_back(const std::vector<ChunkOut>& outs) {
+  for (const ChunkOut& out : outs) {
+    if (out.fall_back) return true;
+  }
+  for (const ChunkOut& out : outs) {
+    if (out.has_error) throw ParseError(out.error);
+  }
+  return false;
+}
+
+/// Fold per-chunk accounting into the caller's report in chunk (== input)
+/// order, and close the holes a chunk leaves when it emits fewer records
+/// than its slice (lenient per-record drops, exact-filter rejects): one pass
+/// moves each later chunk down and rebases its RECIDs and fatal log_index
+/// values. An intact unfiltered read has no holes and moves nothing.
+std::uint64_t settle_chunks(std::vector<ChunkOut>& outs, std::vector<RasEvent>& events,
+                            IngestReport& rep, bin::BlockCounters& blocks) {
+  std::uint64_t attempted = 0;
+  std::size_t filled = 0;
   for (ChunkOut& out : outs) {
-    // Chunks assign RECIDs from their local emit position; rebase onto the
-    // global sequence so the TrustedRecids finalize sees 1..N.
-    const auto base = static_cast<std::int64_t>(events.size());
-    events.insert(events.end(), std::make_move_iterator(out.events.begin()),
-                  std::make_move_iterator(out.events.end()));
-    if (base != 0) {
-      for (std::size_t i = events.size() - out.events.size(); i < events.size(); ++i) {
-        events[i].recid += base;
+    if (out.begin != filled) {
+      const std::size_t shift = out.begin - filled;
+      const auto from = events.begin() + static_cast<std::ptrdiff_t>(out.begin);
+      std::copy(from, from + static_cast<std::ptrdiff_t>(out.emitted),
+                events.begin() + static_cast<std::ptrdiff_t>(filled));
+      for (std::size_t i = filled; i < filled + out.emitted; ++i) {
+        events[i].recid -= static_cast<std::int64_t>(shift);
       }
+      for (std::size_t& idx : out.fatal.log_index) idx -= shift;
+      out.begin = filled;
     }
+    filled += out.emitted;
     rep.merge(out.rep);  // chunk order == offset order: samples stay sorted
     blocks.merge(out.blocks);
     attempted += out.attempted;
   }
+  if (filled != events.size()) {
+    events.resize(filled);
+    // A selective predicate can leave most of the array unused; do not hold
+    // it for the log's lifetime.
+    if (filled < events.capacity() / 2) events.shrink_to_fit();
+  }
   return attempted;
 }
 
-std::size_t chunk_count(std::size_t nblocks, par::ThreadPool& pool) {
-  // 4 chunks per thread for load balance; a single-thread pool gets one
-  // chunk so the merge is a plain move.
-  return pool.thread_count() <= 1
-             ? 1
-             : std::max<std::size_t>(1, std::min(nblocks, pool.thread_count() * 4));
+/// Strict: the attempted records must match the dictionary's total.
+/// Lenient: charge the records lost with undecodable blocks to BinaryFrame.
+void check_total(ParseMode mode, std::uint64_t total, std::uint64_t attempted,
+                 IngestReport& rep) {
+  if (mode == ParseMode::Strict) {
+    if (attempted != total) {
+      throw ParseError("binary RAS log record count mismatch: expected " +
+                       std::to_string(total) + ", got " + std::to_string(attempted));
+    }
+  } else if (total > attempted) {
+    rep.add_malformed_bulk(IngestReason::BinaryFrame, total - attempted);
+  }
 }
 
 // The v2 fast path: the dictionary lives in block 0, every other block is
-// decoded independently across contiguous block ranges. Any framing anomaly
-// defers to the sequential reader, which is the authority on recovery; the
-// caller's report is only touched on a committed parallel result, so the
-// fallback starts clean.
+// decoded independently across contiguous block ranges, straight into one
+// event array presized from the blocks' declared counts. Any framing
+// anomaly, CRC damage or sizing surprise defers to the sequential reader,
+// which is the authority on recovery; the caller's report is only touched
+// on a committed parallel result, so the fallback starts clean.
 template <typename FallBack>
 RasLog read_region_parallel_v2(std::string_view region,
                                const std::vector<bin::FrameRef>& frames,
                                const Catalog& catalog, ParseMode mode,
                                const machine::MachineModel& machine, IngestReport& rep,
                                par::ThreadPool& pool, const bin::ZoneFilter* filter,
-                               bin::BlockCounters& blocks, const FallBack& fall_back) {
+                               bin::BlockCounters& blocks, std::size_t reserve_div,
+                               const FallBack& fall_back) {
   const char* base = region.data();
 
   // Block 0 carries the dictionary, so any error in it — CRC or content — is
@@ -169,29 +231,31 @@ RasLog read_region_parallel_v2(std::string_view region,
     }
   }
 
+  // Slice sizes: each 'R' block's declared count; other blocks emit nothing.
   const std::size_t nblocks = frames.size() - 1;
-  const std::size_t chunks = chunk_count(nblocks, pool);
-  std::vector<ChunkOut> outs(chunks);
+  std::vector<std::size_t> at(nblocks + 1, 0);
+  for (std::size_t f = 1; f < frames.size(); ++f) {
+    const bin::FrameRef& fr = frames[f];
+    const bool records = base[fr.offset + bin::kBlockHeaderBytes] == kRasRecordTag;
+    at[f] = at[f - 1] + (records ? declared_count(base, fr) : 0);
+  }
+  std::vector<ChunkOut> outs(chunk_count(nblocks, pool));
+  std::vector<RasEvent> events;
+  if (!presize(events, outs, at, region.size() / reserve_div)) return fall_back();
 
   par::parallel_for_chunks(
-      chunks, 1,
+      outs.size(), 1,
       [&](std::size_t cb, std::size_t ce) {
         for (std::size_t c = cb; c < ce; ++c) {
           ChunkOut& out = outs[c];
-          const std::size_t fb = 1 + c * nblocks / chunks;
-          const std::size_t fe = 1 + (c + 1) * nblocks / chunks;
-          out.events.reserve((fe - fb) * kRasRecordsPerBlock);
+          const std::size_t fb = 1 + c * nblocks / outs.size();
+          const std::size_t fe = 1 + (c + 1) * nblocks / outs.size();
+          RasEventSlice slice(events.data(), out.begin, out.end);
           for (std::size_t f = fb; f < fe; ++f) {
             const bin::FrameRef& fr = frames[f];
             const char* payload = base + fr.offset + bin::kBlockHeaderBytes;
             if (bin::crc32(payload, fr.size) != fr.crc) {
-              if (mode == ParseMode::Strict) {
-                out.has_error = true;
-                out.error = "binary RAS log: block CRC mismatch at byte offset " +
-                            std::to_string(fr.offset);
-              } else {
-                out.damaged = true;
-              }
+              out.fall_back = true;
               break;
             }
             bin::PayloadCursor cur(std::string_view(payload, fr.size),
@@ -210,9 +274,12 @@ RasLog read_region_parallel_v2(std::string_view region,
                 continue;
               }
               ++out.blocks.total;
-              decode_ras_records(cur, &dict, mode, machine, out.rep, out.events,
-                                 out.attempted, filter);
+              decode_ras_records(cur, &dict, mode, machine, out.rep, slice, out.attempted,
+                                 filter);
               ++out.blocks.decoded;
+            } catch (const RasEventSlice::Overflow&) {
+              out.fall_back = true;
+              break;
             } catch (const Error& e) {
               if (mode == ParseMode::Strict) {
                 out.has_error = true;
@@ -223,53 +290,34 @@ RasLog read_region_parallel_v2(std::string_view region,
               // it, the lost-record top-up accounts for its records.
             }
           }
+          out.emitted = slice.size() - out.begin;
         }
       },
       &pool);
 
-  if (mode == ParseMode::Strict) {
-    // Chunks cover contiguous, ascending block ranges and each stopped at
-    // its first error, so the earliest chunk's capture is the input-order
-    // first error — exactly what the sequential reader would have thrown.
-    for (const ChunkOut& out : outs) {
-      if (out.has_error) throw ParseError(out.error);
-    }
-  } else {
-    for (const ChunkOut& out : outs) {
-      if (out.damaged) return fall_back();
-    }
-  }
-
-  std::vector<RasEvent> events;
-  const std::uint64_t attempted = merge_chunks(outs, events, rep, blocks);
-
-  if (mode == ParseMode::Strict) {
-    if (attempted != dict.total_records) {
-      throw ParseError("binary RAS log record count mismatch: expected " +
-                       std::to_string(dict.total_records) + ", got " +
-                       std::to_string(attempted));
-    }
-  } else if (dict.total_records > attempted) {
-    rep.add_malformed_bulk(IngestReason::BinaryFrame, dict.total_records - attempted);
-  }
-
+  if (must_fall_back(outs)) return fall_back();
+  const std::uint64_t attempted = settle_chunks(outs, events, rep, blocks);
+  check_total(mode, dict.total_records, attempted, rep);
   return RasLog(std::move(events), catalog, machine, RasLog::TrustedRecids{});
 }
 
 // The v3 fast path: parse the writer-canonical metadata prefix
 // ('M' 'M' 'D' 'D' 'L' 'L') in order, rebuild the block directory from the
-// 'S' segment footers, then fan the 'C' blocks out. Under a predicate,
-// blocks whose footer entry zone-rejects are skipped without touching their
+// 'S' segment footers, then fan the 'C' blocks out over slices of one event
+// array presized from their declared counts. Under a predicate, blocks
+// whose footer entry zone-rejects are skipped without touching their
 // payload bytes at all (the mmap zero-copy win); blocks without a footer
 // entry (an appender's unsealed tail) fall back to the in-block zone map.
-// Any deviation from the canonical shape defers to the sequential reader.
+// Either way a rejected block gets no slice. Any deviation from the
+// canonical shape defers to the sequential reader.
 template <typename FallBack>
 RasLog read_region_parallel_v3(std::string_view region,
                                const std::vector<bin::FrameRef>& frames,
                                const Catalog& catalog, ParseMode mode,
                                const machine::MachineModel& machine, IngestReport& rep,
                                par::ThreadPool& pool, const bin::ZoneFilter* filter,
-                               bin::BlockCounters& blocks, const FallBack& fall_back) {
+                               bin::BlockCounters& blocks, std::size_t reserve_div,
+                               const FallBack& fall_back) {
   const char* base = region.data();
   const auto tag_of = [&](const bin::FrameRef& f) {
     return base[f.offset + bin::kBlockHeaderBytes];
@@ -350,49 +398,72 @@ RasLog read_region_parallel_v3(std::string_view region,
     for (const bin::SegmentEntry& e : dir) dir_at.emplace(e.offset, &e);
   }
 
+  // Slice sizes: each block's declared count, or nothing when its footer
+  // entry (else its in-block zone map) rejects it. `skip` marks the
+  // footer-rejected blocks, whose payload the workers never touch.
   const std::size_t nblocks = cframes.size();
-  const std::size_t chunks = std::max<std::size_t>(1, chunk_count(nblocks, pool));
-  std::vector<ChunkOut> outs(chunks);
+  std::vector<const bin::SegmentEntry*> skip(filter != nullptr ? nblocks : 0, nullptr);
+  std::vector<std::size_t> at(nblocks + 1, 0);
+  for (std::size_t f = 0; f < nblocks; ++f) {
+    const bin::FrameRef& fr = *cframes[f];
+    std::uint32_t n = 0;
+    if (filter == nullptr) {
+      n = declared_count(base, fr);
+    } else if (const auto it = dir_at.find(fr.offset);
+               it != dir_at.end() && !filter->may_match(it->second->zone)) {
+      skip[f] = it->second;
+    } else {
+      n = declared_count(base, fr);
+      bin::ZoneMap zm;
+      std::size_t pos = 0;
+      if (fr.size >= 1 + sizeof n + bin::kZoneMapBytes &&
+          bin::read_zone_map(std::string_view(base + fr.offset + bin::kBlockHeaderBytes +
+                                                  1 + sizeof n,
+                                              bin::kZoneMapBytes),
+                             pos, zm) &&
+          !filter->may_match(zm)) {
+        n = 0;
+      }
+    }
+    at[f + 1] = at[f] + n;
+  }
+  std::vector<ChunkOut> outs(chunk_count(nblocks, pool));
+  std::vector<RasEvent> events;
+  if (!presize(events, outs, at, region.size() / reserve_div)) return fall_back();
 
   par::parallel_for_chunks(
-      chunks, 1,
+      outs.size(), 1,
       [&](std::size_t cb, std::size_t ce) {
         RasV3Scratch scratch;
         for (std::size_t c = cb; c < ce; ++c) {
           ChunkOut& out = outs[c];
-          const std::size_t fb = c * nblocks / chunks;
-          const std::size_t fe = (c + 1) * nblocks / chunks;
-          out.events.reserve((fe - fb) * kRasRecordsPerBlock);
+          const std::size_t fb = c * nblocks / outs.size();
+          const std::size_t fe = (c + 1) * nblocks / outs.size();
+          RasEventSlice slice(events.data(), out.begin, out.end);
           for (std::size_t f = fb; f < fe; ++f) {
             const bin::FrameRef& fr = *cframes[f];
-            if (filter != nullptr) {
-              const auto it = dir_at.find(fr.offset);
-              if (it != dir_at.end() && !filter->may_match(it->second->zone)) {
-                // Footer-covered and zone-rejected: zero-touch skip — the
-                // payload bytes (and their mmap pages) are never read.
-                out.attempted += it->second->count;
-                ++out.blocks.total;
-                ++out.blocks.skipped;
-                continue;
-              }
+            if (filter != nullptr && skip[f] != nullptr) {
+              // Footer-covered and zone-rejected: zero-touch skip — the
+              // payload bytes (and their mmap pages) are never read.
+              out.attempted += skip[f]->count;
+              ++out.blocks.total;
+              ++out.blocks.skipped;
+              continue;
             }
             const char* payload = base + fr.offset + bin::kBlockHeaderBytes;
             if (bin::crc32(payload, fr.size) != fr.crc) {
-              if (mode == ParseMode::Strict) {
-                out.has_error = true;
-                out.error = "binary RAS log: block CRC mismatch at byte offset " +
-                            std::to_string(fr.offset);
-              } else {
-                out.damaged = true;
-              }
+              out.fall_back = true;
               break;
             }
             bin::PayloadCursor cur(std::string_view(payload, fr.size),
                                    fr.offset + bin::kBlockHeaderBytes, "binary RAS log");
             try {
               cur.get<char>();  // tag, known to be 'C'
-              decode_ras_column_payload(cur, &*dict, &*locs, mode, filter, out.rep,
-                                        out.events, out.attempted, out.blocks, scratch);
+              decode_ras_column_payload(cur, &*dict, &*locs, mode, filter, out.rep, slice,
+                                        out.attempted, out.blocks, scratch);
+            } catch (const RasEventSlice::Overflow&) {
+              out.fall_back = true;
+              break;
             } catch (const Error& e) {
               if (mode == ParseMode::Strict) {
                 out.has_error = true;
@@ -401,6 +472,7 @@ RasLog read_region_parallel_v3(std::string_view region,
               }
             }
           }
+          out.emitted = slice.size() - out.begin;
           // The scratch is shared across this worker's chunks; snapshot its
           // emit bookkeeping into the chunk and reset for the next one.
           out.fatal = std::move(scratch.fatal);
@@ -412,55 +484,19 @@ RasLog read_region_parallel_v3(std::string_view region,
       },
       &pool);
 
-  if (mode == ParseMode::Strict) {
-    for (const ChunkOut& out : outs) {
-      if (out.has_error) throw ParseError(out.error);
-    }
-  } else {
-    for (const ChunkOut& out : outs) {
-      if (out.damaged) return fall_back();
-    }
-  }
-
-  // Chunk sizes before the merge moves the event vectors: they place the
-  // chunk-local fatal log_index values (and the boundary order checks) on
-  // the global event array.
-  std::vector<std::size_t> sizes;
-  sizes.reserve(outs.size());
-  bool sorted = true;
-  for (const ChunkOut& out : outs) {
-    sizes.push_back(out.events.size());
-    sorted = sorted && out.sorted;
-  }
-
-  std::vector<RasEvent> events;
-  const std::uint64_t attempted = merge_chunks(outs, events, rep, blocks);
-
-  if (mode == ParseMode::Strict) {
-    if (attempted != dict->total_records) {
-      throw ParseError("binary RAS log record count mismatch: expected " +
-                       std::to_string(dict->total_records) + ", got " +
-                       std::to_string(attempted));
-    }
-  } else if (dict->total_records > attempted) {
-    rep.add_malformed_bulk(IngestReason::BinaryFrame, dict->total_records - attempted);
-  }
+  if (must_fall_back(outs)) return fall_back();
+  const std::uint64_t attempted = settle_chunks(outs, events, rep, blocks);
+  check_total(mode, dict->total_records, attempted, rep);
 
   // Each chunk verified its own order; the seams between chunks are the only
   // unchecked pairs.
-  if (sorted) {
-    std::size_t at = 0;
-    for (std::size_t c = 0; c + 1 < sizes.size() && sorted; ++c) {
-      at += sizes[c];
-      if (at > 0 && at < events.size() &&
-          events[at].event_time < events[at - 1].event_time) {
-        sorted = false;
-      }
-    }
-  }
   RasLog::TrustedParts parts;
-  parts.sorted = sorted;
-  if (sorted) {
+  for (const ChunkOut& out : outs) {
+    parts.sorted = parts.sorted && out.sorted &&
+                   (out.begin == 0 || out.begin >= events.size() ||
+                    events[out.begin - 1].event_time <= events[out.begin].event_time);
+  }
+  if (parts.sorted) {
     if (outs.size() == 1) {
       parts.fatal = std::move(outs[0].fatal);
     } else {
@@ -470,19 +506,16 @@ RasLog read_region_parallel_v3(std::string_view region,
       parts.fatal.errcode.reserve(nfatal);
       parts.fatal.loc_key.reserve(nfatal);
       parts.fatal.log_index.reserve(nfatal);
-      std::size_t ebase = 0;
-      for (std::size_t c = 0; c < outs.size(); ++c) {
-        const FatalColumns& f = outs[c].fatal;
-        parts.fatal.event_time.insert(parts.fatal.event_time.end(),
-                                      f.event_time.begin(), f.event_time.end());
+      for (const ChunkOut& out : outs) {
+        const FatalColumns& f = out.fatal;
+        parts.fatal.event_time.insert(parts.fatal.event_time.end(), f.event_time.begin(),
+                                      f.event_time.end());
         parts.fatal.errcode.insert(parts.fatal.errcode.end(), f.errcode.begin(),
                                    f.errcode.end());
         parts.fatal.loc_key.insert(parts.fatal.loc_key.end(), f.loc_key.begin(),
                                    f.loc_key.end());
-        for (const std::size_t idx : f.log_index) {
-          parts.fatal.log_index.push_back(idx + ebase);
-        }
-        ebase += sizes[c];
+        parts.fatal.log_index.insert(parts.fatal.log_index.end(), f.log_index.begin(),
+                                     f.log_index.end());
       }
     }
   }
@@ -507,11 +540,11 @@ RasLog read_region_parallel(std::string_view region, const Catalog& catalog,
   const char first = region[frames[0].offset + bin::kBlockHeaderBytes];
   if (first == kRasDictTag) {
     return read_region_parallel_v2(region, frames, catalog, mode, machine, rep, pool,
-                                   filter, blocks, fall_back);
+                                   filter, blocks, reserve_div, fall_back);
   }
   if (first == kRasMetaTag) {
     return read_region_parallel_v3(region, frames, catalog, mode, machine, rep, pool,
-                                   filter, blocks, fall_back);
+                                   filter, blocks, reserve_div, fall_back);
   }
   return fall_back();
 }
@@ -784,9 +817,10 @@ RasLog read_view(std::string_view buffer, const Catalog& catalog,
   }
 
   bin::BlockCounters blocks;
-  // The indexed in-place path wins even on a single-thread pool (no per-block
-  // payload copies), so any pool at all selects it.
-  RasLog log = opts.pool != nullptr
+  // The pooled path pays a serial value-initializing presize before its
+  // decode; with one thread there is nothing to win that back, and the
+  // sequential reader measures faster, so a single-thread pool takes it.
+  RasLog log = opts.pool != nullptr && opts.pool->thread_count() > 1
                    ? read_region_parallel(region, catalog, opts.mode, machine, rep,
                                           *opts.pool, filter, blocks, reserve_div)
                    : read_region_sequential(region, catalog, opts.mode, machine, rep,

@@ -37,10 +37,11 @@ namespace {
 
 // Validate and append one fixed-size record. Shared by the contiguous fast
 // path and the bounds-checked slow path so their accounting cannot drift.
+template <typename Out>
 void decode_one(const PackedRecord& rec, std::uint64_t rec_offset,
                 const RasDictionary& dict, ParseMode mode,
-                const machine::MachineModel& machine, IngestReport& rep,
-                std::vector<RasEvent>& events, const bin::ZoneFilter* filter) {
+                const machine::MachineModel& machine, IngestReport& rep, Out& events,
+                const bin::ZoneFilter* filter) {
   if (rec.dict_index >= dict.remap.size()) {
     if (mode == ParseMode::Strict) throw ParseError("bad dictionary index");
     rep.add_malformed(IngestReason::BadRecord, rec_offset, "",
@@ -80,7 +81,7 @@ void decode_one(const PackedRecord& rec, std::uint64_t rec_offset,
     rep.add_ok();
     return;
   }
-  // RECID = emit position (chunked readers rebase at merge): lets the log
+  // RECID = emit position (global in a pooled reader's slice): lets the log
   // constructor take the read-only TrustedRecids finalize.
   ev.recid = static_cast<std::int64_t>(events.size() + 1);
   events.push_back(ev);
@@ -89,11 +90,13 @@ void decode_one(const PackedRecord& rec, std::uint64_t rec_offset,
 
 }  // namespace
 
+template <typename Out>
 void decode_ras_records(bin::PayloadCursor& cur, const RasDictionary* dict,
                         ParseMode mode, const machine::MachineModel& machine,
-                        IngestReport& rep, std::vector<RasEvent>& events,
-                        std::uint64_t& attempted, const bin::ZoneFilter* filter) {
+                        IngestReport& rep, Out& events, std::uint64_t& attempted,
+                        const bin::ZoneFilter* filter) {
   const auto n = cur.get<std::uint32_t>();
+  admit_block(events, n);
   // Writer-canonical blocks hold exactly n contiguous records; decode them
   // straight from the payload view, skipping per-record cursor bookkeeping.
   // Any other shape (an adversarial CRC-valid payload) takes the
@@ -128,6 +131,14 @@ void decode_ras_records(bin::PayloadCursor& cur, const RasDictionary* dict,
     decode_one(rec, rec_offset, *dict, mode, machine, rep, events, filter);
   }
 }
+
+template void decode_ras_records(bin::PayloadCursor&, const RasDictionary*, ParseMode,
+                                 const machine::MachineModel&, IngestReport&,
+                                 std::vector<RasEvent>&, std::uint64_t&,
+                                 const bin::ZoneFilter*);
+template void decode_ras_records(bin::PayloadCursor&, const RasDictionary*, ParseMode,
+                                 const machine::MachineModel&, IngestReport&,
+                                 RasEventSlice&, std::uint64_t&, const bin::ZoneFilter*);
 
 RasLocDict parse_ras_loc_dict(bin::PayloadCursor& cur,
                               const machine::MachineModel& machine, ParseMode mode) {
@@ -291,12 +302,12 @@ bool decode_ras_columns(std::string_view body, std::uint32_t n, RasColumns& cols
   return true;
 }
 
+template <typename Out>
 void decode_ras_column_payload(bin::PayloadCursor& cur, const RasDictionary* dict,
                                const RasLocDict* locs, ParseMode mode,
                                const bin::ZoneFilter* filter, IngestReport& rep,
-                               std::vector<RasEvent>& events,
-                               std::uint64_t& attempted, bin::BlockCounters& blocks,
-                               RasV3Scratch& scratch) {
+                               Out& events, std::uint64_t& attempted,
+                               bin::BlockCounters& blocks, RasV3Scratch& scratch) {
   const std::uint64_t block_at = cur.offset();
   const auto n = cur.get<std::uint32_t>();
   bin::ZoneMap zm;
@@ -314,6 +325,7 @@ void decode_ras_column_payload(bin::PayloadCursor& cur, const RasDictionary* dic
     ++blocks.skipped;
     return;
   }
+  admit_block(events, n);
   const auto codec = cur.get<std::uint8_t>();
   const auto raw_size = cur.get<std::uint32_t>();
   if (raw_size > bin::kMaxBlockPayload) {
@@ -423,7 +435,7 @@ void decode_ras_column_payload(bin::PayloadCursor& cur, const RasDictionary* dic
       }
       // Parenthesized aggregate init constructs the event in place — no
       // zero-initialized temporary, one 40-byte store per record. The RECID
-      // is the emit position (chunked readers rebase at merge), which lets
+      // is the emit position (global in a pooled reader's slice), which lets
       // the log constructor take the read-only TrustedRecids finalize.
       const std::int64_t t = cols.times[i];
       events.emplace_back(static_cast<std::int64_t>(events.size() + 1), TimePoint(t),
@@ -510,6 +522,17 @@ void decode_ras_column_payload(bin::PayloadCursor& cur, const RasDictionary* dic
   scratch.sorted = sorted;
   if (ok != 0) rep.add_ok(ok);
 }
+
+template void decode_ras_column_payload(bin::PayloadCursor&, const RasDictionary*,
+                                        const RasLocDict*, ParseMode,
+                                        const bin::ZoneFilter*, IngestReport&,
+                                        std::vector<RasEvent>&, std::uint64_t&,
+                                        bin::BlockCounters&, RasV3Scratch&);
+template void decode_ras_column_payload(bin::PayloadCursor&, const RasDictionary*,
+                                        const RasLocDict*, ParseMode,
+                                        const bin::ZoneFilter*, IngestReport&,
+                                        RasEventSlice&, std::uint64_t&,
+                                        bin::BlockCounters&, RasV3Scratch&);
 
 void RasStreamDecoder::on_payload(std::string_view payload,
                                   std::uint64_t payload_offset) {

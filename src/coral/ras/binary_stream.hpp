@@ -1,10 +1,12 @@
 #pragma once
 
 #include <cstdint>
+#include <exception>
 #include <limits>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "coral/common/binary_frame.hpp"
@@ -89,16 +91,54 @@ struct RasLocDict {
 RasLocDict parse_ras_loc_dict(bin::PayloadCursor& cur,
                               const machine::MachineModel& machine, ParseMode mode);
 
-/// Decode one 'R' payload's records (cursor past the tag byte). `dict` may be
+/// One chunk's slice [begin, end) of an event array the pooled file reader
+/// presized from the blocks' declared counts; it stands in for the growing
+/// std::vector of the stream decoder, so both run the same decode loops.
+/// size() is the global emit position, which makes the RECIDs and fatal
+/// log_index values the loops derive from it global too. The bound is
+/// checked once per block against the count the block declares (no block
+/// emits more than that).
+class RasEventSlice {
+ public:
+  /// A block declared more records than the slice has left: the reader
+  /// defers to the sequential path.
+  struct Overflow : std::exception {};
+
+  RasEventSlice(RasEvent* base, std::size_t begin, std::size_t end)
+      : base_(base), pos_(begin), end_(end) {}
+
+  std::size_t size() const { return pos_; }
+  void admit(std::uint32_t n) const {
+    if (n > end_ - pos_) throw Overflow{};
+  }
+  template <typename... Args>
+  void emplace_back(Args&&... args) {
+    base_[pos_++] = RasEvent(std::forward<Args>(args)...);
+  }
+  void push_back(const RasEvent& ev) { base_[pos_++] = ev; }
+
+ private:
+  RasEvent* base_;
+  std::size_t pos_;
+  std::size_t end_;
+};
+
+/// Called by the decode loops with each block's declared count before it
+/// emits: a growing vector needs no check, a slice enforces its bound.
+inline void admit_block(std::vector<RasEvent>&, std::uint32_t) {}
+inline void admit_block(const RasEventSlice& out, std::uint32_t n) { out.admit(n); }
+
+/// Decode one 'R' payload's records (cursor past the tag byte) into `events`
+/// (a std::vector<RasEvent> or a RasEventSlice). `dict` may be
 /// null only when every dictionary copy was lost earlier in the input.
 /// `attempted` counts records decoded or individually rejected — the unit the
 /// lost-record top-up is computed in. A non-null `filter` drops records that
 /// fail the exact predicate *after* full validation (they still count as
 /// attempted and ok, so accounting is layout-independent).
+template <typename Out>
 void decode_ras_records(bin::PayloadCursor& cur, const RasDictionary* dict,
                         ParseMode mode, const machine::MachineModel& machine,
-                        IngestReport& rep, std::vector<RasEvent>& events,
-                        std::uint64_t& attempted,
+                        IngestReport& rep, Out& events, std::uint64_t& attempted,
                         const bin::ZoneFilter* filter = nullptr);
 
 /// Decoded column arrays of one v3 'C' block body. Severities alias the
@@ -135,8 +175,8 @@ void encode_ras_column_block(std::string& payload, const RasEvent* events,
 
 /// Reusable scratch for decoding 'C' payloads (one per thread), plus the
 /// emit-side bookkeeping the adopting RasLog constructor wants: fatal
-/// columns gathered as records are emitted (log_index is the emit position
-/// in the caller's event vector) and a running time-order check. Both cost
+/// columns gathered as records are emitted (log_index is the emit position,
+/// global for a RasEventSlice) and a running time-order check. Both cost
 /// a couple of register ops per record here versus a second full pass over
 /// the event array in finalize(). Callers that interleave chunks through
 /// one scratch move `fatal`/`sorted` out and reset between chunks.
@@ -149,17 +189,18 @@ struct RasV3Scratch {
 };
 
 /// Decode one 'C' payload (cursor past the tag byte) — the single v3 record
-/// decode implementation, shared by the stream decoder and the parallel
-/// file reader. Zone-rejected blocks (non-null `filter`) contribute their
-/// declared count to `attempted` without touching the body. Throws
-/// ParseError on any malformed shape in either mode; lenient callers catch
-/// and let the lost-record top-up cover the block.
+/// decode implementation, shared by the stream decoder (into its vector)
+/// and the pooled file reader (into a RasEventSlice). Zone-rejected blocks
+/// (non-null `filter`) contribute their declared count to `attempted`
+/// without touching the body. Throws ParseError on any malformed shape in
+/// either mode; lenient callers catch and let the lost-record top-up cover
+/// the block.
+template <typename Out>
 void decode_ras_column_payload(bin::PayloadCursor& cur, const RasDictionary* dict,
                                const RasLocDict* locs, ParseMode mode,
                                const bin::ZoneFilter* filter, IngestReport& rep,
-                               std::vector<RasEvent>& events,
-                               std::uint64_t& attempted, bin::BlockCounters& blocks,
-                               RasV3Scratch& scratch);
+                               Out& events, std::uint64_t& attempted,
+                               bin::BlockCounters& blocks, RasV3Scratch& scratch);
 
 /// Incremental binary v2/v3 RAS decoder: feed block payloads as they become
 /// available (from a BlockReader, a FrameAssembler over a socket, a tailed

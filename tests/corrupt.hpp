@@ -111,6 +111,36 @@ inline std::string lie_in_zone_map(const std::string& data, Rng& rng) {
   return out;
 }
 
+/// Rewrite the declared record count of one random `tag` record block ('R'
+/// in v2, 'C' in v3: a u32 right after the tag) and REPAIR the frame CRC,
+/// so the lie reaches the decoders. The new count is far too large, a block
+/// or so too large, zero, or one off. A pooled reader sizes its output from
+/// these counts, so the lie may cost it a fallback to the sequential read
+/// but never a write past its slice.
+inline std::string lie_in_block_count(const std::string& data, Rng& rng, char tag) {
+  const auto frames = frames_with_tag(data, tag);
+  if (frames.empty()) return data;
+  std::string out = data;
+  const std::size_t p = frames[rng.uniform_index(frames.size())];
+  std::uint32_t size = 0;
+  std::memcpy(&size, out.data() + p + sizeof bin::kBlockMagic, sizeof size);
+  const std::size_t count_at = p + bin::kBlockHeaderBytes + 1;
+  std::uint32_t n = 0;
+  if (size < 1 + sizeof n) return data;
+  std::memcpy(&n, out.data() + count_at, sizeof n);
+  switch (rng.uniform_index(5)) {
+    case 0: n = 0xFFFFFFFFu - static_cast<std::uint32_t>(rng.uniform_index(1000)); break;
+    case 1: n += 1 + static_cast<std::uint32_t>(rng.uniform_index(100)); break;
+    case 2: n = 0; break;
+    case 3: n += 1; break;
+    default: n -= 1; break;
+  }
+  std::memcpy(out.data() + count_at, &n, sizeof n);
+  const std::uint32_t crc = bin::crc32(out.data() + p + bin::kBlockHeaderBytes, size);
+  std::memcpy(out.data() + p + sizeof bin::kBlockMagic + sizeof size, &crc, sizeof crc);
+  return out;
+}
+
 // -- CSV-specific mutators: operate on physical lines so the damage modes
 // -- are recognizable (and countable) at the record layer.
 

@@ -18,7 +18,9 @@
 #include "coral/core/matching.hpp"
 #include "coral/filter/pipeline.hpp"
 #include "coral/joblog/log.hpp"
+#include "coral/obs/obs.hpp"
 #include "coral/ras/binary_io.hpp"
+#include "coral/ras/binary_stream.hpp"
 #include "coral/ras/log.hpp"
 #include "coral/synth/intrepid.hpp"
 
@@ -426,12 +428,21 @@ TEST(Crc32, MatchesBytewiseReferenceOnMultiMiBBuffersAtOddOffsets) {
 void expect_logs_equal(const ras::RasLog& a, const ras::RasLog& b) {
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].recid, b[i].recid) << "record " << i;
     EXPECT_EQ(a[i].event_time, b[i].event_time) << "record " << i;
     EXPECT_EQ(a[i].errcode, b[i].errcode) << "record " << i;
     EXPECT_EQ(a[i].location, b[i].location) << "record " << i;
     EXPECT_EQ(a[i].serial, b[i].serial) << "record " << i;
     EXPECT_EQ(a[i].severity, b[i].severity) << "record " << i;
   }
+  // The fatal columns the pooled reader gathers at emit (and rebases when it
+  // closes holes) must be the ones the sequential reader builds.
+  const ras::FatalColumns& fa = a.fatal_columns();
+  const ras::FatalColumns& fb = b.fatal_columns();
+  EXPECT_EQ(fa.event_time, fb.event_time);
+  EXPECT_EQ(fa.errcode, fb.errcode);
+  EXPECT_EQ(fa.loc_key, fb.loc_key);
+  EXPECT_EQ(fa.log_index, fb.log_index);
 }
 
 void expect_reports_equal(const IngestReport& a, const IngestReport& b) {
@@ -543,6 +554,127 @@ TEST(ParallelBinaryRead, TruncatedFileMatchesSequential) {
   expect_logs_equal(seq, par);
   expect_reports_equal(seq_rep, par_rep);
   EXPECT_GT(seq_rep.malformed(IngestReason::BinaryFrame), 0u);
+}
+
+TEST(ParallelBinaryRead, SliceRejectsABlockLargerThanWhatIsLeft) {
+  // The pooled reader's guard against writing past a chunk's slice: a block
+  // declaring more records than remain is refused before it emits any.
+  std::vector<ras::RasEvent> events(10);
+  ras::RasEventSlice slice(events.data(), 4, 7);
+  EXPECT_EQ(slice.size(), 4u);
+  EXPECT_NO_THROW(slice.admit(3));
+  EXPECT_THROW(slice.admit(4), ras::RasEventSlice::Overflow);
+  ras::RasEvent ev;
+  ev.serial = 99;
+  slice.push_back(ev);
+  slice.push_back(ev);
+  EXPECT_EQ(slice.size(), 6u);
+  EXPECT_NO_THROW(slice.admit(1));
+  EXPECT_THROW(slice.admit(2), ras::RasEventSlice::Overflow);
+  EXPECT_EQ(events[4].serial, 99u);
+  EXPECT_EQ(events[5].serial, 99u);
+  EXPECT_EQ(events[6].serial, 0u);
+}
+
+// The pooled readers decode into slices of one presized array; holes left
+// by lenient drops and exact-filter rejects are compacted afterwards, and a
+// truncated file defers to the sequential reader. Every combination must
+// reproduce the sequential read: events, RECIDs, fatal columns, the ingest
+// report and the block counters.
+
+/// The default catalog with every other errcode removed: a lenient read
+/// against it drops the missing codes as UnknownErrcode throughout the file.
+const ras::Catalog& reduced_catalog() {
+  static const ras::Catalog catalog = [] {
+    std::vector<ras::ErrcodeInfo> kept;
+    const auto all = ras::default_catalog().all();
+    for (std::size_t i = 0; i < all.size(); i += 2) kept.push_back(all[i]);
+    return ras::Catalog(std::move(kept));
+  }();
+  return catalog;
+}
+
+struct ReadOutcome {
+  ras::RasLog log;
+  IngestReport rep;
+  std::uint64_t blocks_total = 0;
+  std::uint64_t blocks_decoded = 0;
+  std::uint64_t blocks_skipped = 0;
+};
+
+ReadOutcome read_ras(const std::string& bytes, const ras::Catalog& catalog,
+                     ParseMode mode, const bin::ReadPredicate& pred,
+                     par::ThreadPool* pool) {
+  ReadOutcome out;
+  obs::Collector col;
+  ras::ReadOptions opts;
+  opts.mode = mode;
+  opts.report = &out.rep;
+  opts.sink = &col;
+  opts.pool = pool;
+  opts.predicate = pred;
+  std::istringstream in(bytes);
+  out.log = ras::read_binary(in, catalog, opts);
+  const auto snap = col.snapshot();
+  out.blocks_total = snap.counter_value("ingest.ras_binary.blocks_total");
+  out.blocks_decoded = snap.counter_value("ingest.ras_binary.blocks_decoded");
+  out.blocks_skipped = snap.counter_value("ingest.ras_binary.blocks_skipped");
+  return out;
+}
+
+TEST(ParallelBinaryRead, PooledMatchesSequentialAcrossVersionsPoolsAndCases) {
+  const ras::RasLog& log = scenario().ras;
+  bin::ReadPredicate window;
+  const std::int64_t span = log[log.size() - 1].event_time - log[0].event_time;
+  window.time_begin = log[0].event_time + span / 4;
+  window.time_end = log[0].event_time + span * 3 / 4;
+  for (int m = 0; m < 8; ++m) window.midplanes.push_back(m);
+
+  struct Case {
+    const char* name;
+    ParseMode mode;
+    const ras::Catalog* catalog;
+    bin::ReadPredicate pred;
+    bool truncate;
+  };
+  const Case cases[] = {
+      {"strict intact", ParseMode::Strict, &ras::default_catalog(), {}, false},
+      {"lenient reduced catalog", ParseMode::Lenient, &reduced_catalog(), {}, false},
+      {"time and midplane predicate", ParseMode::Strict, &ras::default_catalog(), window,
+       false},
+      {"truncated mid-block", ParseMode::Lenient, &ras::default_catalog(), {}, true},
+  };
+  for (const std::uint32_t version : {2u, 3u}) {
+    std::stringstream buf;
+    ras::write_binary(buf, log, ras::WriteOptions{.version = version});
+    const std::string bytes = buf.str();
+    for (const Case& c : cases) {
+      const std::string input = c.truncate ? bytes.substr(0, bytes.size() * 2 / 3) : bytes;
+      const ReadOutcome seq = read_ras(input, *c.catalog, c.mode, c.pred, nullptr);
+      // The cases exercise what they are named for.
+      if (c.catalog != &ras::default_catalog()) {
+        EXPECT_GT(seq.rep.malformed(IngestReason::UnknownErrcode), log.size() / 10);
+      }
+      if (!c.pred.unconstrained()) {
+        EXPECT_GT(seq.log.size(), 0u);
+        EXPECT_LT(seq.log.size() * 4, log.size());
+      }
+      if (c.truncate) {
+        EXPECT_GT(seq.rep.malformed(IngestReason::BinaryFrame), 0u);
+      }
+      for (const std::size_t threads : {1, 2, 3, 8}) {
+        SCOPED_TRACE(std::string(c.name) + ", v" + std::to_string(version) + ", pool of " +
+                     std::to_string(threads));
+        par::ThreadPool pool(threads);
+        const ReadOutcome got = read_ras(input, *c.catalog, c.mode, c.pred, &pool);
+        expect_logs_equal(seq.log, got.log);
+        expect_reports_equal(seq.rep, got.rep);
+        EXPECT_EQ(seq.blocks_total, got.blocks_total);
+        EXPECT_EQ(seq.blocks_decoded, got.blocks_decoded);
+        EXPECT_EQ(seq.blocks_skipped, got.blocks_skipped);
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -224,6 +224,38 @@ TEST(FleetDaemon, QuotaSizedWireMessagesComplete) {
                               machine::bgp_model()));
 }
 
+TEST(FleetDaemon, ConcurrentFinalizesOfOneTenantGetTheSameReply) {
+  // Two connections attached to one tenant ask for its finalize at once:
+  // the tenant finalizes exactly once and both get the same reply body,
+  // while the reply fingerprints run outside the fleet-wide finalize lock.
+  DaemonFixture fx;
+  const std::string ras_image = ras_bytes(make_ras_log(2000));
+  const std::string job_image = job_bytes(make_job_log(300));
+  fleet::WireClient feeder("127.0.0.1", fx.port());
+  feeder.handshake({"shared", "bgp", ParseMode::Strict, false});
+  fleet::WireClient other("127.0.0.1", fx.port());
+  other.handshake({"shared", "bgp", ParseMode::Strict, false});
+  feeder.send_data(stream::Source::Ras, ras_image, 4096);
+  feeder.send_data(stream::Source::Jobs, job_image, 4096);
+  feeder.flush();
+
+  fleet::ReplyFields replies[2];
+  std::thread finalizers[2];
+  fleet::WireClient* clients[2] = {&feeder, &other};
+  for (int i = 0; i < 2; ++i) {
+    finalizers[i] = std::thread([&replies, &clients, i] { replies[i] = clients[i]->finalize(); });
+  }
+  for (std::thread& t : finalizers) t.join();
+  EXPECT_EQ(replies[0], replies[1]);
+  EXPECT_EQ(replies[0].at("ras_records"), "2000");
+  EXPECT_EQ(replies[0].at("result_fp"),
+            offline_result_fp(ras_image, job_image, ParseMode::Strict,
+                              machine::bgp_model()));
+  const auto tenants = fx.daemon.tenants();
+  ASSERT_EQ(tenants.size(), 1u);
+  EXPECT_TRUE(tenants[0].stats.finalized);
+}
+
 // Start/stop cycles, with and without traffic. scripts/ci.sh runs this
 // suite under ThreadSanitizer: the accept loops must never read state that
 // stop() writes.

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -10,6 +11,7 @@
 #include "coral/common/error.hpp"
 #include "coral/common/ingest.hpp"
 #include "coral/common/instrument.hpp"
+#include "coral/common/parallel.hpp"
 #include "coral/context.hpp"
 #include "coral/core/pipeline.hpp"
 #include "coral/joblog/binary_io.hpp"
@@ -469,23 +471,66 @@ TEST(FuzzSmokeCsv, RecoversAtLeast99PercentOfIntactRows) {
   }
 }
 
+/// Lenient read of a mutant, sequentially and through `pool`: the pooled
+/// read must be the sequential read exactly — events, RECIDs, fatal
+/// columns and the whole report. Returns the sequential log and report.
+ras::RasLog read_both_ways(const std::string& bytes, ras::ReadOptions opts,
+                           IngestReport& rep, par::ThreadPool& pool) {
+  opts.mode = ParseMode::Lenient;
+  opts.report = &rep;
+  opts.pool = nullptr;
+  std::istringstream in(bytes);
+  ras::RasLog seq = ras::read_binary(in, ras::default_catalog(), opts);
+  IngestReport pooled_rep;
+  opts.report = &pooled_rep;
+  opts.pool = &pool;
+  std::istringstream pooled_in(bytes);
+  const ras::RasLog pooled = ras::read_binary(pooled_in, ras::default_catalog(), opts);
+
+  EXPECT_EQ(pooled.size(), seq.size());
+  for (std::size_t i = 0; i < std::min(seq.size(), pooled.size()); ++i) {
+    const ras::RasEvent& a = seq[i];
+    const ras::RasEvent& b = pooled[i];
+    if (a.recid != b.recid || a.event_time != b.event_time || a.errcode != b.errcode ||
+        a.location != b.location || a.serial != b.serial || a.severity != b.severity) {
+      ADD_FAILURE() << "pooled read differs at record " << i;
+      break;
+    }
+  }
+  EXPECT_EQ(pooled.fatal_columns().event_time, seq.fatal_columns().event_time);
+  EXPECT_EQ(pooled.fatal_columns().errcode, seq.fatal_columns().errcode);
+  EXPECT_EQ(pooled.fatal_columns().loc_key, seq.fatal_columns().loc_key);
+  EXPECT_EQ(pooled.fatal_columns().log_index, seq.fatal_columns().log_index);
+  EXPECT_EQ(pooled_rep.records_ok(), rep.records_ok());
+  for (std::size_t r = 0; r < kIngestReasonCount; ++r) {
+    const auto reason = static_cast<IngestReason>(r);
+    EXPECT_EQ(pooled_rep.malformed(reason), rep.malformed(reason)) << to_string(reason);
+  }
+  EXPECT_EQ(pooled_rep.samples().size(), rep.samples().size());
+  for (std::size_t i = 0; i < std::min(rep.samples().size(), pooled_rep.samples().size());
+       ++i) {
+    EXPECT_EQ(pooled_rep.samples()[i].reason, rep.samples()[i].reason);
+    EXPECT_EQ(pooled_rep.samples()[i].byte_offset, rep.samples()[i].byte_offset);
+  }
+  return seq;
+}
+
 TEST(FuzzSmokeBinary, RasCorpus) {
   const std::size_t n = 600;
   const ras::RasLog log = make_ras_log(n);
   std::stringstream buf;
   ras::write_binary(buf, log);
   const std::string bytes = buf.str();
+  par::ThreadPool pool(3);
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     Rng rng(seed);
     for (const std::string& bad :
          {testing::flip_bits(bytes, rng, 6), testing::truncate_bytes(bytes, rng, 0.3),
-          testing::flip_bits(testing::truncate_bytes(bytes, rng, 0.5), rng, 3)}) {
-      std::istringstream in(bad);
+          testing::flip_bits(testing::truncate_bytes(bytes, rng, 0.5), rng, 3),
+          testing::lie_in_block_count(bytes, rng, 'R')}) {
       IngestReport rep;
       ras::RasLog parsed;
-      ASSERT_NO_THROW(parsed = ras::read_binary(in, ras::default_catalog(),
-                                                ParseMode::Lenient, &rep))
-          << "seed " << seed;
+      ASSERT_NO_THROW(parsed = read_both_ways(bad, {}, rep, pool)) << "seed " << seed;
       EXPECT_EQ(rep.records_ok(), parsed.size()) << "seed " << seed;
       EXPECT_LE(parsed.size(), n) << "seed " << seed;
     }
@@ -522,13 +567,12 @@ TEST(FuzzSmokeBinary, RecoversAtLeast99PercentAfterBitFlips) {
   std::stringstream buf;
   ras::write_binary(buf, log);
   const std::string bytes = buf.str();
+  par::ThreadPool pool(3);
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     Rng rng(seed);
     const std::string bad = testing::flip_bits(bytes, rng, 2);
-    std::istringstream in(bad);
     IngestReport rep;
-    const ras::RasLog parsed =
-        ras::read_binary(in, ras::default_catalog(), ParseMode::Lenient, &rep);
+    const ras::RasLog parsed = read_both_ways(bad, {}, rep, pool);
     EXPECT_GE(parsed.size(), n * 99 / 100) << "seed " << seed << ": " << rep.summary();
     EXPECT_EQ(rep.records_seen(), n) << "seed " << seed;
   }
@@ -548,23 +592,20 @@ TEST(FuzzSmokeV3, RasCorpus) {
   const std::string bytes = buf.str();
   bin::ReadPredicate pred;
   pred.time_begin = TimePoint::from_calendar(2009, 1, 5) + 2 * kUsecPerHour;
+  par::ThreadPool pool(3);
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     Rng rng(seed);
     for (const std::string& bad :
          {testing::flip_bits(bytes, rng, 6), testing::truncate_bytes(bytes, rng, 0.3),
           testing::flip_block_payload(bytes, rng, 'C', 3),
           testing::flip_block_payload(bytes, rng, 'S', 2),
-          testing::lie_in_zone_map(bytes, rng)}) {
+          testing::lie_in_zone_map(bytes, rng), testing::lie_in_block_count(bytes, rng, 'C')}) {
       for (const bool filtered : {false, true}) {
-        std::istringstream in(bad);
         IngestReport rep;
         ras::ReadOptions opts;
-        opts.mode = ParseMode::Lenient;
-        opts.report = &rep;
         if (filtered) opts.predicate = pred;
         ras::RasLog parsed;
-        ASSERT_NO_THROW(parsed = ras::read_binary(in, ras::default_catalog(), opts))
-            << "seed " << seed;
+        ASSERT_NO_THROW(parsed = read_both_ways(bad, opts, rep, pool)) << "seed " << seed;
         if (filtered) {
           EXPECT_GE(rep.records_ok(), parsed.size()) << "seed " << seed;
         } else {

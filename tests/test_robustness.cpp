@@ -1,6 +1,7 @@
 // Hardening tests: degenerate scenarios, fuzzed parsers, extreme configs.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -15,6 +16,15 @@
 #include "coral/synth/intrepid.hpp"
 
 namespace coral {
+namespace machine {
+
+// gtest writes a value parameter into the listed test name ("# GetParam() =
+// ..."); print a model by its name rather than its address, so the
+// DegenerateInputs names are the same on every run.
+void PrintTo(const MachineModel* model, std::ostream* os) { *os << model->name(); }
+
+}  // namespace machine
+
 namespace {
 
 TEST(Robustness, ZeroFaultScenarioProducesCleanLogs) {
