@@ -223,6 +223,13 @@ void BM_RasBinaryReadV3(benchmark::State& state) {
 }
 BENCHMARK(BM_RasBinaryReadV3);
 
+// The same read as wall time and whole-process CPU: BM_RasBinaryReadV3's
+// cpu_time counts the calling thread only, so it misses the pool workers'
+// decode and their first touch of the event array.
+void BM_RasBinaryReadV3Wall(benchmark::State& state) { BM_RasBinaryReadV3(state); }
+BENCHMARK(BM_RasBinaryReadV3Wall)->Unit(benchmark::kMillisecond)->UseRealTime()
+    ->MeasureProcessCPUTime();
+
 void BM_RasBinaryReadV3Pushdown(benchmark::State& state) {
   // The paper's canonical slice: a 60-day window of the 237-day log. Zone
   // maps let the reader skip whole blocks of it without decoding.

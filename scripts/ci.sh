@@ -87,17 +87,19 @@ case " ${PRESETS[*]} " in
     ;;
 esac
 
-# The concurrent multi-catalog tests and the daemon start/stop cycles must
-# always run under ThreadSanitizer, even when the caller asked for a subset
-# of presets: they are the only coverage of two Contexts racing through the
-# full pipeline and of stop() racing the daemon's accept loops.
+# The concurrent multi-catalog tests, the daemon start/stop cycles and the
+# pooled binary reads must always run under ThreadSanitizer, even when the
+# caller asked for a subset of presets: they are the only coverage of two
+# Contexts racing through the full pipeline, of stop() racing the daemon's
+# accept loops, and of pool workers first-touching disjoint slices of one
+# shared event array.
 case " ${PRESETS[*]} " in
   *" tsan "*) ;;  # full tsan suite already ran above
   *)
-    echo "==== [tsan] focused Context + daemon lifecycle race check ===="
+    echo "==== [tsan] focused Context + daemon lifecycle + pooled read race check ===="
     cmake --preset tsan
-    cmake --build --preset tsan -j "$JOBS" --target test_context test_fleet
-    ctest --preset tsan -R 'Context|DaemonLifecycle' -j "$JOBS"
+    cmake --build --preset tsan -j "$JOBS" --target test_context test_fleet test_columnar
+    ctest --preset tsan -R 'Context|DaemonLifecycle|ParallelBinaryRead' -j "$JOBS"
     ;;
 esac
 

@@ -109,12 +109,11 @@ struct ReadOptions {
 /// counters are recorded.
 ///
 /// The input is buffered whole and frames are decoded in place. With a
-/// `pool` of two or more threads, CRC verification and record decoding fan
-/// out across contiguous block ranges, straight into one event array
-/// presized from the blocks' declared counts — results (events, error
-/// messages, lenient accounting) are identical to the sequential read; a
-/// file with any frame damage falls back to the sequential recovering
-/// reader. A single-thread pool reads sequentially.
+/// `pool` (of any size), CRC verification and record decoding fan out
+/// across contiguous block ranges, straight into one event array presized
+/// from the blocks' declared counts — results (events, error messages,
+/// lenient accounting) are identical to the sequential read; a file with
+/// any frame damage falls back to the sequential recovering reader.
 /// Packed locations are validated against the machine model; the returned
 /// log is stamped with it.
 RasLog read_binary(std::istream& in, const Catalog& catalog, const ReadOptions& opts);

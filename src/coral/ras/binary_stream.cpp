@@ -134,7 +134,7 @@ void decode_ras_records(bin::PayloadCursor& cur, const RasDictionary* dict,
 
 template void decode_ras_records(bin::PayloadCursor&, const RasDictionary*, ParseMode,
                                  const machine::MachineModel&, IngestReport&,
-                                 std::vector<RasEvent>&, std::uint64_t&,
+                                 RasEventArray&, std::uint64_t&,
                                  const bin::ZoneFilter*);
 template void decode_ras_records(bin::PayloadCursor&, const RasDictionary*, ParseMode,
                                  const machine::MachineModel&, IngestReport&,
@@ -526,7 +526,7 @@ void decode_ras_column_payload(bin::PayloadCursor& cur, const RasDictionary* dic
 template void decode_ras_column_payload(bin::PayloadCursor&, const RasDictionary*,
                                         const RasLocDict*, ParseMode,
                                         const bin::ZoneFilter*, IngestReport&,
-                                        std::vector<RasEvent>&, std::uint64_t&,
+                                        RasEventArray&, std::uint64_t&,
                                         bin::BlockCounters&, RasV3Scratch&);
 template void decode_ras_column_payload(bin::PayloadCursor&, const RasDictionary*,
                                         const RasLocDict*, ParseMode,

@@ -93,7 +93,9 @@ RasLocDict parse_ras_loc_dict(bin::PayloadCursor& cur,
 
 /// One chunk's slice [begin, end) of an event array the pooled file reader
 /// presized from the blocks' declared counts; it stands in for the growing
-/// std::vector of the stream decoder, so both run the same decode loops.
+/// RasEventArray of the stream decoder, so both run the same decode loops.
+/// The presize leaves the slots unwritten, so the slice's writes are each
+/// slot's first, and every slot below the final size() has been written.
 /// size() is the global emit position, which makes the RECIDs and fatal
 /// log_index values the loops derive from it global too. The bound is
 /// checked once per block against the count the block declares (no block
@@ -125,11 +127,11 @@ class RasEventSlice {
 
 /// Called by the decode loops with each block's declared count before it
 /// emits: a growing vector needs no check, a slice enforces its bound.
-inline void admit_block(std::vector<RasEvent>&, std::uint32_t) {}
+inline void admit_block(RasEventArray&, std::uint32_t) {}
 inline void admit_block(const RasEventSlice& out, std::uint32_t n) { out.admit(n); }
 
 /// Decode one 'R' payload's records (cursor past the tag byte) into `events`
-/// (a std::vector<RasEvent> or a RasEventSlice). `dict` may be
+/// (a RasEventArray or a RasEventSlice). `dict` may be
 /// null only when every dictionary copy was lost earlier in the input.
 /// `attempted` counts records decoded or individually rejected — the unit the
 /// lost-record top-up is computed in. A non-null `filter` drops records that
@@ -237,7 +239,7 @@ class RasStreamDecoder {
   /// Decoded events so far, in decode order — the live tap online consumers
   /// (the session's prediction stage) read new records from between pumps.
   /// Invalidated by finish(), which moves the events into the built log.
-  const std::vector<RasEvent>& events_so_far() const { return events_; }
+  const RasEventArray& events_so_far() const { return events_; }
   /// Records attempted (decoded or individually rejected) so far.
   std::uint64_t records_attempted() const { return attempted_; }
   /// The declared total from the dictionary, once one has been seen.
@@ -265,7 +267,7 @@ class RasStreamDecoder {
   std::optional<RasDictionary> dict_;
   std::optional<bin::StoreMeta> meta_;
   std::optional<RasLocDict> loc_dict_;
-  std::vector<RasEvent> events_;
+  RasEventArray events_;
   IngestReport record_rep_;  ///< per-record rejections, folded into finish()'s rep
   std::uint64_t attempted_ = 0;
   std::uint64_t reserve_cap_ = std::uint64_t{1} << 16;

@@ -12,19 +12,19 @@
 
 namespace coral::ras {
 
-RasLog::RasLog(std::vector<RasEvent> events, const Catalog& catalog,
+RasLog::RasLog(RasEventArray events, const Catalog& catalog,
                const machine::MachineModel& machine)
     : catalog_(&catalog), machine_(&machine), events_(std::move(events)) {
   finalize();
 }
 
-RasLog::RasLog(std::vector<RasEvent> events, const Catalog& catalog,
+RasLog::RasLog(RasEventArray events, const Catalog& catalog,
                const machine::MachineModel& machine, TrustedRecids)
     : catalog_(&catalog), machine_(&machine), events_(std::move(events)) {
   finalize_impl(true);
 }
 
-RasLog::RasLog(std::vector<RasEvent> events, const Catalog& catalog,
+RasLog::RasLog(RasEventArray events, const Catalog& catalog,
                const machine::MachineModel& machine, TrustedParts parts)
     : catalog_(&catalog), machine_(&machine), events_(std::move(events)) {
   if (parts.sorted) {
@@ -189,7 +189,7 @@ RasLog RasLog::read_csv(std::istream& in, const Catalog& catalog, ParseMode mode
     // mode refuses to guess a schema.
     throw ParseError("bad RAS CSV header");
   }
-  std::vector<RasEvent> events;
+  RasEventArray events;
   while (r.read_row(row)) {
     if (row.size() == 1 && row[0].empty()) continue;  // trailing newline
     const std::uint64_t offset = r.row_offset();

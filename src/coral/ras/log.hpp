@@ -1,8 +1,13 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <map>
+#include <memory>
+#include <new>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "coral/common/ingest.hpp"
@@ -10,6 +15,55 @@
 #include "coral/ras/event.hpp"
 
 namespace coral::ras {
+
+/// Transparent huge-page size on x86-64 and aarch64 (4 KB base pages).
+inline constexpr std::size_t kHugePageBytes = std::size_t{2} << 20;
+
+/// Allocator of the RAS event array. It differs from std::allocator twice:
+/// - construct(p) with no arguments writes nothing, so resize() reserves
+///   slots without touching their pages. The pooled binary reader presizes
+///   this way and its workers take the first-touch page faults of their own
+///   slices in parallel. Any other resize must shrink, or assign every slot
+///   it adds before the slot is read.
+/// - An allocation of at least kHugePageBytes is kHugePageBytes-aligned, so
+///   the reader can advise it onto transparent huge pages.
+template <typename T>
+struct EventArrayAllocator {
+  using value_type = T;
+
+  EventArrayAllocator() = default;
+  template <typename U>
+  EventArrayAllocator(const EventArrayAllocator<U>&) noexcept {}
+
+  static constexpr bool huge(std::size_t n) { return n * sizeof(T) >= kHugePageBytes; }
+
+  T* allocate(std::size_t n) {
+    if (!huge(n)) return std::allocator<T>{}.allocate(n);
+    return static_cast<T*>(::operator new(n * sizeof(T), std::align_val_t{kHugePageBytes}));
+  }
+  void deallocate(T* p, std::size_t n) noexcept {
+    if (!huge(n)) return std::allocator<T>{}.deallocate(p, n);
+    ::operator delete(p, n * sizeof(T), std::align_val_t{kHugePageBytes});
+  }
+
+  template <typename U>
+  void construct(U*) noexcept {
+    static_assert(std::is_trivially_copyable_v<U> && std::is_trivially_destructible_v<U>,
+                  "an unwritten slot must be assignable as raw memory");
+  }
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+
+  friend bool operator==(const EventArrayAllocator&, const EventArrayAllocator&) {
+    return true;
+  }
+};
+
+/// The event storage of a RasLog, and the one event-array type every
+/// producer of a log builds (readers, the stream decoder, the simulator).
+using RasEventArray = std::vector<RasEvent, EventArrayAllocator<RasEvent>>;
 
 /// Summary counts for a RAS log (Table I material).
 struct RasLogSummary {
@@ -49,7 +103,7 @@ struct FatalColumns {
 class RasLog {
  public:
   RasLog() : catalog_(&default_catalog()) {}
-  explicit RasLog(std::vector<RasEvent> events,
+  explicit RasLog(RasEventArray events,
                   const Catalog& catalog = default_catalog(),
                   const machine::MachineModel& machine = machine::bgp_model());
 
@@ -61,7 +115,7 @@ class RasLog {
   /// falls back to the full finalize, so a caller lying about order still
   /// gets a correct log.
   struct TrustedRecids {};
-  RasLog(std::vector<RasEvent> events, const Catalog& catalog,
+  RasLog(RasEventArray events, const Catalog& catalog,
          const machine::MachineModel& machine, TrustedRecids);
 
   /// Everything finalize() would compute, produced by a caller whose emit
@@ -75,13 +129,13 @@ class RasLog {
     FatalColumns fatal;
     bool sorted = true;
   };
-  RasLog(std::vector<RasEvent> events, const Catalog& catalog,
+  RasLog(RasEventArray events, const Catalog& catalog,
          const machine::MachineModel& machine, TrustedParts parts);
 
   std::size_t size() const { return events_.size(); }
   bool empty() const { return events_.empty(); }
   const RasEvent& operator[](std::size_t i) const { return events_[i]; }
-  const std::vector<RasEvent>& events() const { return events_; }
+  const RasEventArray& events() const { return events_; }
 
   /// The catalog this log's ErrcodeIds index into.
   const Catalog& catalog() const { return *catalog_; }
@@ -149,7 +203,7 @@ class RasLog {
 
   const Catalog* catalog_;
   const machine::MachineModel* machine_ = &machine::bgp_model();
-  std::vector<RasEvent> events_;
+  RasEventArray events_;
   FatalColumns fatal_;
   bool finalized_ = false;
 };

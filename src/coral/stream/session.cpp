@@ -163,7 +163,7 @@ void Session::predict_new_records_locked() {
   // in file order, so cursoring over it replays exactly the record sequence
   // an offline predict::replay of the finalized log would see — the parity
   // the online/offline differential test pins.
-  const std::vector<ras::RasEvent>& events = ras_dec_->events_so_far();
+  const ras::RasEventArray& events = ras_dec_->events_so_far();
   for (; predicted_ < events.size(); ++predicted_) {
     predictor_->on_record(events[predicted_]);
   }

@@ -692,7 +692,7 @@ class Simulation {
       return records_[a].event.event_time < records_[b].event.event_time;
     });
 
-    std::vector<ras::RasEvent> events;
+    ras::RasEventArray events;
     events.reserve(records_.size());
     std::vector<std::int32_t> tags;
     tags.reserve(records_.size());

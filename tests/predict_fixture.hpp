@@ -108,7 +108,7 @@ inline core::CharColumns chain_columns(const ras::Catalog& cat = ras::default_ca
 
 /// The corpus as a finalized RAS log (for predictor replay / session feeds).
 inline ras::RasLog chain_ras_log(const ras::Catalog& cat = ras::default_catalog()) {
-  std::vector<ras::RasEvent> events;
+  ras::RasEventArray events;
   std::uint32_t serial = 0;
   for (const auto& ev : detail::chain_events(cat)) {
     ras::RasEvent e;

@@ -110,7 +110,7 @@ std::string frame(const std::string& payload) {
 TEST(RasBinary, GoldenByteLayout) {
   const ras::Catalog tiny({ras::ErrcodeInfo{.name = "ALPHA"},
                            ras::ErrcodeInfo{.name = "BETA"}});
-  std::vector<ras::RasEvent> events(2);
+  ras::RasEventArray events(2, ras::RasEvent{});
   events[0].event_time = TimePoint(1000000);
   events[0].location = bgp::Location::rack(3);
   events[0].errcode = 1;

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <set>
 #include <sstream>
 #include <string>
@@ -559,7 +560,7 @@ TEST(ParallelBinaryRead, TruncatedFileMatchesSequential) {
 TEST(ParallelBinaryRead, SliceRejectsABlockLargerThanWhatIsLeft) {
   // The pooled reader's guard against writing past a chunk's slice: a block
   // declaring more records than remain is refused before it emits any.
-  std::vector<ras::RasEvent> events(10);
+  ras::RasEventArray events(10, ras::RasEvent{});
   ras::RasEventSlice slice(events.data(), 4, 7);
   EXPECT_EQ(slice.size(), 4u);
   EXPECT_NO_THROW(slice.admit(3));
@@ -602,9 +603,19 @@ struct ReadOutcome {
   std::uint64_t blocks_skipped = 0;
 };
 
+/// Fill a heap block of `bytes` with 0xA5 and free it, so the next
+/// allocation of about that size reuses stale bytes instead of fresh zero
+/// pages. The writes are volatile so the compiler cannot elide the block.
+void dirty_heap(std::size_t bytes) {
+  auto* junk = static_cast<volatile unsigned char*>(std::malloc(bytes));
+  ASSERT_NE(junk, nullptr);
+  for (std::size_t i = 0; i < bytes; ++i) junk[i] = 0xA5;
+  std::free(const_cast<unsigned char*>(junk));
+}
+
 ReadOutcome read_ras(const std::string& bytes, const ras::Catalog& catalog,
                      ParseMode mode, const bin::ReadPredicate& pred,
-                     par::ThreadPool* pool) {
+                     par::ThreadPool* pool, std::size_t dirty_bytes = 0) {
   ReadOutcome out;
   obs::Collector col;
   ras::ReadOptions opts;
@@ -614,6 +625,7 @@ ReadOutcome read_ras(const std::string& bytes, const ras::Catalog& catalog,
   opts.pool = pool;
   opts.predicate = pred;
   std::istringstream in(bytes);
+  if (dirty_bytes != 0) dirty_heap(dirty_bytes);
   out.log = ras::read_binary(in, catalog, opts);
   const auto snap = col.snapshot();
   out.blocks_total = snap.counter_value("ingest.ras_binary.blocks_total");
@@ -622,51 +634,82 @@ ReadOutcome read_ras(const std::string& bytes, const ras::Catalog& catalog,
   return out;
 }
 
-TEST(ParallelBinaryRead, PooledMatchesSequentialAcrossVersionsPoolsAndCases) {
-  const ras::RasLog& log = scenario().ras;
+/// The middle half of `log`'s time span on midplanes 0-7.
+bin::ReadPredicate window_of(const ras::RasLog& log) {
   bin::ReadPredicate window;
   const std::int64_t span = log[log.size() - 1].event_time - log[0].event_time;
   window.time_begin = log[0].event_time + span / 4;
   window.time_end = log[0].event_time + span * 3 / 4;
   for (int m = 0; m < 8; ++m) window.midplanes.push_back(m);
+  return window;
+}
+
+TEST(ParallelBinaryRead, PooledMatchesSequentialAcrossVersionsPoolsAndCases) {
+  const ras::RasLog& log = scenario().ras;
+  // The presize leaves the event array's slots unwritten. A log whose array
+  // (3000 x 40 bytes) is below glibc's 128 KB mmap threshold comes from the
+  // malloc heap, so before each pooled read of it the heap is dirtied: a slot
+  // the decode never wrote, or a hole the compaction failed to close, would
+  // then show 0xA5 bytes instead of zeros.
+  const ras::RasLog small(
+      ras::RasEventArray(log.events().begin(), log.events().begin() + 3000), log.catalog(),
+      log.machine());
 
   struct Case {
     const char* name;
+    const ras::RasLog* log;
     ParseMode mode;
     const ras::Catalog* catalog;
-    bin::ReadPredicate pred;
+    bool predicate;
     bool truncate;
+    bool dirty;
   };
   const Case cases[] = {
-      {"strict intact", ParseMode::Strict, &ras::default_catalog(), {}, false},
-      {"lenient reduced catalog", ParseMode::Lenient, &reduced_catalog(), {}, false},
-      {"time and midplane predicate", ParseMode::Strict, &ras::default_catalog(), window,
+      {"strict intact", &log, ParseMode::Strict, &ras::default_catalog(), false, false,
        false},
-      {"truncated mid-block", ParseMode::Lenient, &ras::default_catalog(), {}, true},
+      {"lenient reduced catalog", &log, ParseMode::Lenient, &reduced_catalog(), false, false,
+       false},
+      {"time and midplane predicate", &log, ParseMode::Strict, &ras::default_catalog(), true,
+       false, false},
+      {"truncated mid-block", &log, ParseMode::Lenient, &ras::default_catalog(), false, true,
+       false},
+      {"lenient reduced catalog, dirty heap", &small, ParseMode::Lenient, &reduced_catalog(),
+       false, false, true},
+      {"time and midplane predicate, dirty heap", &small, ParseMode::Strict,
+       &ras::default_catalog(), true, false, true},
   };
   for (const std::uint32_t version : {2u, 3u}) {
-    std::stringstream buf;
-    ras::write_binary(buf, log, ras::WriteOptions{.version = version});
-    const std::string bytes = buf.str();
     for (const Case& c : cases) {
+      std::stringstream buf;
+      ras::write_binary(buf, *c.log, ras::WriteOptions{.version = version});
+      const std::string bytes = buf.str();
       const std::string input = c.truncate ? bytes.substr(0, bytes.size() * 2 / 3) : bytes;
-      const ReadOutcome seq = read_ras(input, *c.catalog, c.mode, c.pred, nullptr);
+      const bin::ReadPredicate pred = c.predicate ? window_of(*c.log) : bin::ReadPredicate{};
+      const ReadOutcome seq = read_ras(input, *c.catalog, c.mode, pred, nullptr);
       // The cases exercise what they are named for.
       if (c.catalog != &ras::default_catalog()) {
-        EXPECT_GT(seq.rep.malformed(IngestReason::UnknownErrcode), log.size() / 10);
+        EXPECT_GT(seq.rep.malformed(IngestReason::UnknownErrcode), c.log->size() / 10);
       }
-      if (!c.pred.unconstrained()) {
+      if (c.predicate) {
         EXPECT_GT(seq.log.size(), 0u);
-        EXPECT_LT(seq.log.size() * 4, log.size());
+        EXPECT_LT(seq.log.size() * 4, c.log->size());
       }
       if (c.truncate) {
         EXPECT_GT(seq.rep.malformed(IngestReason::BinaryFrame), 0u);
       }
+      // The event array holds the records of the blocks the read decodes. A
+      // buffer of exactly that size takes the heap chunk the array would
+      // (such as the previous read's array, which holds the same records).
+      const std::size_t dirty_bytes =
+          c.dirty ? std::min<std::size_t>(c.log->size(),
+                                          seq.blocks_decoded * ras::kRasRecordsPerBlock) *
+                        sizeof(ras::RasEvent)
+                  : 0;
       for (const std::size_t threads : {1, 2, 3, 8}) {
         SCOPED_TRACE(std::string(c.name) + ", v" + std::to_string(version) + ", pool of " +
                      std::to_string(threads));
         par::ThreadPool pool(threads);
-        const ReadOutcome got = read_ras(input, *c.catalog, c.mode, c.pred, &pool);
+        const ReadOutcome got = read_ras(input, *c.catalog, c.mode, pred, &pool, dirty_bytes);
         expect_logs_equal(seq.log, got.log);
         expect_reports_equal(seq.rep, got.rep);
         EXPECT_EQ(seq.blocks_total, got.blocks_total);

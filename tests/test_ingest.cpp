@@ -31,7 +31,7 @@ namespace {
 ras::RasLog make_ras_log(std::size_t n) {
   const ras::Catalog& cat = ras::default_catalog();
   const TimePoint base = TimePoint::from_calendar(2009, 1, 5);
-  std::vector<ras::RasEvent> events(n);
+  ras::RasEventArray events(n, ras::RasEvent{});
   for (std::size_t i = 0; i < n; ++i) {
     ras::RasEvent& ev = events[i];
     ev.event_time = base + static_cast<Usec>(i) * kUsecPerMin;

@@ -206,7 +206,7 @@ joblog::JobLog make_jobs(const machine::MachineModel& m) {
 ras::RasLog make_ras(const machine::MachineModel& m, std::size_t n, bool fatal, bool info,
                      bool same_time) {
   const ras::Catalog& cat = ras::default_catalog();
-  std::vector<ras::RasEvent> events(n);
+  ras::RasEventArray events(n, ras::RasEvent{});
   for (std::size_t i = 0; i < n; ++i) {
     ras::RasEvent& ev = events[i];
     const bool is_fatal = fatal && (!info || i % 2 == 0);

@@ -26,7 +26,7 @@ namespace {
 ras::RasLog make_ras_log(std::size_t n) {
   const ras::Catalog& cat = ras::default_catalog();
   const TimePoint base = TimePoint::from_calendar(2009, 1, 5);
-  std::vector<ras::RasEvent> events(n);
+  ras::RasEventArray events(n, ras::RasEvent{});
   for (std::size_t i = 0; i < n; ++i) {
     ras::RasEvent& ev = events[i];
     ev.event_time = base + static_cast<Usec>(i) * kUsecPerMin;
@@ -377,7 +377,7 @@ TEST(SessionLifecycle, EmptySessionFinalizesToEmptyResult) {
   EXPECT_TRUE(r.analysis.fatal_before_jobfilter.samples_sec.empty());
   EXPECT_TRUE(r.analysis.interruptions_per_day.empty());
 
-  const ras::RasLog no_ras(std::vector<ras::RasEvent>{});
+  const ras::RasLog no_ras(ras::RasEventArray{});
   joblog::JobLog no_jobs;
   no_jobs.finalize();
   EXPECT_EQ(fleet::result_fingerprint(r.analysis),
