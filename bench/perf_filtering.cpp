@@ -160,8 +160,7 @@ void BM_RasBinaryReadParallel(benchmark::State& state) {
   par::ThreadPool pool;
   for (auto _ : state) {
     std::istringstream in(bytes);
-    benchmark::DoNotOptimize(ras::read_binary(in, ras::default_catalog(),
-                                              ParseMode::Strict, nullptr, nullptr, &pool));
+    benchmark::DoNotOptimize(ras::read_binary(in, ras::default_catalog(), {.pool = &pool}));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(data().ras.size()));

@@ -145,8 +145,8 @@ void BM_EndToEndCoAnalysis(benchmark::State& state) {
   std::size_t interruptions = 0;
   for (auto _ : state) {
     std::istringstream ras_in(ras_bytes());
-    const ras::RasLog ras = ras::read_binary(ras_in, ras::default_catalog(),
-                                             ParseMode::Strict, nullptr, nullptr, &pool);
+    const ras::RasLog ras =
+        ras::read_binary(ras_in, ras::default_catalog(), {.pool = &pool});
     std::istringstream job_in(job_bytes());
     const joblog::JobLog jobs = joblog::read_binary(job_in);
     const core::CoAnalysisResult result = core::run_coanalysis(ras, jobs, {}, ctx);

@@ -80,13 +80,13 @@ int main(int argc, char** argv) {
       return 1;
     }
     ras = ras::RasLog::read_csv(ras_in, ctx.catalog(), ParseMode::Strict, nullptr,
-                                ctx.sink());
+                                ctx.obs());
     std::ifstream jobs_in(paths[1]);
     if (!jobs_in) {
       std::fprintf(stderr, "cannot open %s\n", paths[1]);
       return 1;
     }
-    jobs = joblog::JobLog::read_csv(jobs_in, ParseMode::Strict, nullptr, ctx.sink());
+    jobs = joblog::JobLog::read_csv(jobs_in, ParseMode::Strict, nullptr, ctx.obs());
   } catch (const coral::Error& e) {
     std::fprintf(stderr, "parse failure: %s\n", e.what());
     return 1;

@@ -2,7 +2,7 @@
 # CI entry point: build every preset (release, asan-ubsan, tsan) and run the
 # test suite under each, then run the perf benches and gate regressions.
 # Usage: scripts/ci.sh [stage...] (default: all presets + smoke + daemon +
-# predict + bench + coverage).
+# predict + perfbench + bench + coverage).
 # Stages are preset names plus:
 #   smoke    — scenario-matrix smoke: every registered machine model runs
 #              every calibrated scenario pack through the co-analysis at a
@@ -17,6 +17,10 @@
 #              truth, and fail unless precision/recall/lead-time/saved
 #              node-hours clear the floors (example_predict_eval), plus a
 #              logtool mine -> predict round trip on generated logs.
+#   perfbench — compiles the end-to-end benchmark (perfbench/, its own CMake
+#              package over ../src) into build/perfbench, so a library API
+#              change that breaks it fails here and not only when the
+#              benchmark runs.
 #   bench    — runs the perf_* suites on the release build and merges the
 #              results into BENCH_coanalysis.json at the repo root, failing
 #              on a >10% cpu_time regression versus the committed numbers.
@@ -33,6 +37,7 @@ RUN_COVERAGE=0
 RUN_SMOKE=0
 RUN_DAEMON=0
 RUN_PREDICT=0
+RUN_PERFBENCH=0
 PRESETS=()
 for stage in "$@"; do
   if [ "$stage" = bench ]; then
@@ -45,6 +50,8 @@ for stage in "$@"; do
     RUN_DAEMON=1
   elif [ "$stage" = predict ]; then
     RUN_PREDICT=1
+  elif [ "$stage" = perfbench ]; then
+    RUN_PERFBENCH=1
   else
     PRESETS+=("$stage")
   fi
@@ -56,6 +63,7 @@ if [ $# -eq 0 ]; then
   RUN_SMOKE=1
   RUN_DAEMON=1
   RUN_PREDICT=1
+  RUN_PERFBENCH=1
 fi
 
 JOBS=$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 2)
@@ -216,6 +224,12 @@ if [ "$RUN_PREDICT" -eq 1 ]; then
   "$LOGTOOL" predict "$PREDICT_OUT/rules.crul" "$PREDICT_OUT/ras.v2"
   rm -rf "$PREDICT_OUT"
   trap - EXIT
+fi
+
+if [ "$RUN_PERFBENCH" -eq 1 ]; then
+  echo "==== [perfbench] build ===="
+  cmake -S perfbench -B build/perfbench
+  cmake --build build/perfbench -j "$JOBS"
 fi
 
 if [ "$RUN_BENCH" -eq 1 ]; then

@@ -1,6 +1,6 @@
 #include "coral/common/ingest.hpp"
 
-#include "coral/common/instrument.hpp"
+#include "coral/obs/obs.hpp"
 
 namespace coral {
 
@@ -89,13 +89,14 @@ std::string IngestReport::summary() const {
   return out;
 }
 
-void IngestReport::report_malformed(InstrumentationSink* sink,
+void IngestReport::report_malformed(obs::Collector* collector,
                                     const std::string& stage) const {
-  if (sink == nullptr) return;
+  if (collector == nullptr) return;
   for (std::size_t i = 0; i < kIngestReasonCount; ++i) {
     if (counts_[i] == 0) continue;
-    sink->record({stage + ".malformed." + std::string(to_string(static_cast<IngestReason>(i))),
-                  0, counts_[i], 0});
+    collector->add_counter(
+        stage + ".malformed." + std::string(to_string(static_cast<IngestReason>(i))),
+        counts_[i]);
   }
 }
 

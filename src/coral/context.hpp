@@ -2,7 +2,6 @@
 
 #include <cstdint>
 
-#include "coral/common/instrument.hpp"
 #include "coral/common/parallel.hpp"
 #include "coral/common/rng.hpp"
 #include "coral/machine/model.hpp"
@@ -13,11 +12,12 @@ namespace coral {
 
 /// The explicit per-analysis runtime handle: which machine catalog to
 /// generate/analyze against, which worker pool to run on, a base RNG seed
-/// policy, and where stage instrumentation goes.
+/// policy, and where trace spans and metrics go.
 ///
 /// A Context is a cheap-to-copy bundle of non-owning handles; the caller
-/// keeps the catalog, pool and sink alive for as long as any analysis using
-/// the context runs (for the default catalog that is the whole process).
+/// keeps the catalog, pool and collector alive for as long as any analysis
+/// using the context runs (for the default catalog that is the whole
+/// process).
 /// Every layer that used to consult process-global state — fault injection,
 /// the synthetic workload, RAS ingest/serialization, filtering, the core
 /// reports and the co-analysis — takes a Context (or the relevant
@@ -35,7 +35,6 @@ class Context {
   const ras::Catalog& catalog() const { return *catalog_; }
   const machine::MachineModel& machine() const { return *machine_; }
   par::ThreadPool* pool() const { return pool_; }
-  InstrumentationSink* sink() const { return sink_; }
   obs::Collector* obs() const { return obs_; }
   std::uint64_t seed() const { return seed_; }
 
@@ -56,20 +55,12 @@ class Context {
     pool_ = pool;
     return *this;
   }
-  /// Instrumentation sink for stage timings and ingest health: the hardened
-  /// log readers report "ingest.*" stage samples and per-reason
-  /// "ingest.*.malformed.*" counters here, alongside the engine stages.
-  Context& with_sink(InstrumentationSink* sink) {
-    sink_ = sink;
-    return *this;
-  }
-  /// Full observability: trace spans, typed counters and histograms land in
-  /// `collector`, and — because a Collector is an InstrumentationSink — so
-  /// do all legacy StageTimer stage samples and ingest-health counters. One
-  /// object, one snapshot, every layer.
+  /// Observability: every layer's trace spans (one per pipeline stage, with
+  /// its in/out counts), counters and histograms land in `collector`,
+  /// including the readers' "ingest.*" spans and per-reason
+  /// "ingest.*.malformed.*" counters. One object, one snapshot, every layer.
   Context& with_obs(obs::Collector* collector) {
     obs_ = collector;
-    sink_ = collector;
     return *this;
   }
   /// Seed policy: this offset is folded into every generator seed derived
@@ -93,7 +84,6 @@ class Context {
   const ras::Catalog* catalog_;
   const machine::MachineModel* machine_ = &machine::bgp_model();
   par::ThreadPool* pool_ = nullptr;
-  InstrumentationSink* sink_ = nullptr;
   obs::Collector* obs_ = nullptr;
   std::uint64_t seed_ = 0;
 };

@@ -29,8 +29,8 @@ IngestedLogs ingest_csv_logs(std::istream& ras_in, std::istream& jobs_in, ParseM
                              const Context& ctx) {
   IngestedLogs logs;
   logs.ras = ras::RasLog::read_csv(ras_in, ctx.catalog(), mode, &logs.ras_report,
-                                   ctx.sink(), ctx.machine());
-  logs.jobs = joblog::JobLog::read_csv(jobs_in, mode, &logs.jobs_report, ctx.sink(),
+                                   ctx.obs(), ctx.machine());
+  logs.jobs = joblog::JobLog::read_csv(jobs_in, mode, &logs.jobs_report, ctx.obs(),
                                        ctx.machine());
   return logs;
 }
@@ -43,55 +43,54 @@ CoAnalysisResult complete_coanalysis(filter::FilterPipelineResult filtered,
   r.filtered = std::move(filtered);
   r.matches = std::move(matches);
 
-  InstrumentationSink* sink = ctx.sink();
   par::ThreadPool* pool = ctx.pool();
 
   // Step 1 (continued): identify the interruption-related errcodes (§IV-A).
   {
-    StageTimer timer(sink, "identification");
+    obs::Span span(ctx.obs(), "identification");
     r.identification =
         identify_interruption_related(r.filtered, r.matches, jobs, config.identification);
-    timer.counts(r.filtered.groups.size(), r.identification.verdicts.size());
+    span.counts(r.filtered.groups.size(), r.identification.verdicts.size());
   }
 
   // Shared columnar inputs of the characterization stages: gathered once,
   // scanned by classification, job filter, propagation and vulnerability.
   CharColumns cols;
   {
-    StageTimer timer(sink, "char.columns");
+    obs::Span span(ctx.obs(), "char.columns");
     cols = build_char_columns(r.filtered, r.matches, jobs, pool);
-    timer.counts(jobs.size(), cols.survivor_job.size());
+    span.counts(jobs.size(), cols.survivor_job.size());
   }
 
   // Step 2: separate system failures from application errors (§IV-B).
   {
-    StageTimer timer(sink, "classification");
+    obs::Span span(ctx.obs(), "classification");
     r.classification = classify_causes(r.filtered, r.matches, r.identification, jobs,
                                        cols, config.classification, pool);
-    timer.counts(r.identification.verdicts.size(), r.classification.by_code.size());
+    span.counts(r.identification.verdicts.size(), r.classification.by_code.size());
   }
 
   // Step 3: job-related filtering (§IV-C).
   {
-    StageTimer timer(sink, "job_filter");
+    obs::Span span(ctx.obs(), "job_filter");
     r.job_filter = job_related_filter(r.filtered, r.matches, r.classification, jobs,
                                       cols, config.job_filter, pool);
-    timer.counts(r.filtered.groups.size(), r.job_filter.kept.size());
+    span.counts(r.filtered.groups.size(), r.job_filter.kept.size());
   }
 
   // Characterization: propagation and vulnerability (§VI-C, §VI-D).
   {
-    StageTimer timer(sink, "propagation");
+    obs::Span span(ctx.obs(), "propagation");
     r.propagation =
         analyze_propagation(r.filtered, r.matches, jobs, cols, config.propagation, pool);
-    timer.counts(r.matches.interruptions.size(), r.propagation.propagating_codes.size());
+    span.counts(r.matches.interruptions.size(), r.propagation.propagating_codes.size());
   }
   {
-    StageTimer timer(sink, "vulnerability");
+    obs::Span span(ctx.obs(), "vulnerability");
     r.vulnerability =
         analyze_vulnerability(r.filtered, r.matches, r.classification, jobs, cols,
                               config.vulnerability, pool);
-    timer.counts(r.matches.interruptions.size(), jobs.size());
+    span.counts(r.matches.interruptions.size(), jobs.size());
   }
 
   // Interarrival fits (§V-A, Table IV; Fig. 3): group representatives
@@ -184,22 +183,22 @@ CoAnalysisResult run_coanalysis(const ras::RasLog& ras, const joblog::JobLog& jo
   par::ThreadPool* pool = ctx.pool();
 
   // Step 0: temporal-spatial + causality filtering of FATAL records.
-  StageTimer filter_timer(ctx.sink(), "filter.batch");
+  obs::Span filter_span(ctx.obs(), "filter.batch");
   filter::FilterPipelineConfig filter_config = config.filters;
   if (filter_config.causality.pool == nullptr) filter_config.causality.pool = pool;
   if (filter_config.obs == nullptr) filter_config.obs = ctx.obs();
   filter::FilterPipelineResult filtered = filter::run_filter_pipeline(ras, filter_config);
-  filter_timer.counts(ras.size(), filtered.groups.size());
-  filter_timer.report();
+  filter_span.counts(ras.size(), filtered.groups.size());
+  filter_span.end();
 
   // Step 1: match fatal events against job terminations.
-  StageTimer match_timer(ctx.sink(), "matching");
+  obs::Span match_span(ctx.obs(), "matching");
   MatchConfig match_config = config.matching;
   if (match_config.pool == nullptr) match_config.pool = pool;
   if (match_config.obs == nullptr) match_config.obs = ctx.obs();
   MatchResult matches = match_interruptions(filtered, jobs, match_config);
-  match_timer.counts(filtered.groups.size(), matches.interruptions.size());
-  match_timer.report();
+  match_span.counts(filtered.groups.size(), matches.interruptions.size());
+  match_span.end();
 
   return complete_coanalysis(std::move(filtered), std::move(matches), jobs, config, ctx);
 }

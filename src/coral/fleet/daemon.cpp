@@ -138,10 +138,9 @@ class Daemon::Impl {
       std::lock_guard<std::mutex> lock(conns_mu_);
       for (const int fd : conn_fds_) ::shutdown(fd, SHUT_RDWR);
     }
-    for (std::thread& t : conn_threads_) {
-      if (t.joinable()) t.join();
-    }
+    for (auto& [id, t] : conn_threads_) t.join();
     conn_threads_.clear();
+    finished_conns_.clear();
   }
 
   int wire_port() const { return wire_port_; }
@@ -349,7 +348,7 @@ class Daemon::Impl {
     }
   }
 
-  void handle_connection(int fd) {
+  void handle_connection(std::uint64_t id, int fd) {
     MessageReader reader;
     Tenant* tenant = nullptr;
     std::string msg;
@@ -377,18 +376,36 @@ class Daemon::Impl {
     ::close(fd);
     std::lock_guard<std::mutex> lock(conns_mu_);
     conn_fds_.erase(fd);
+    finished_conns_.push_back(id);
   }
 
+  /// One thread per connection. Each accept first reaps the workers that
+  /// have announced their end, so a resident daemon holds the stacks of its
+  /// live connections only, not of every connection it ever served. A
+  /// finished worker has nothing left to run but its return, so joining it
+  /// never waits on a live connection.
   void serve_wire(int listen_fd) {
+    std::uint64_t next_id = 0;
     while (running_.load(std::memory_order_relaxed)) {
       const int fd = ::accept(listen_fd, nullptr, nullptr);
       if (fd < 0) {
         if (running_.load(std::memory_order_relaxed) && errno == EINTR) continue;
         break;
       }
-      std::lock_guard<std::mutex> lock(conns_mu_);
-      conn_fds_.insert(fd);
-      conn_threads_.emplace_back([this, fd] { handle_connection(fd); });
+      std::vector<std::thread> finished;
+      {
+        std::lock_guard<std::mutex> lock(conns_mu_);
+        for (const std::uint64_t done : finished_conns_) {
+          const auto it = conn_threads_.find(done);
+          finished.push_back(std::move(it->second));
+          conn_threads_.erase(it);
+        }
+        finished_conns_.clear();
+        conn_fds_.insert(fd);
+        const std::uint64_t id = next_id++;
+        conn_threads_.emplace(id, std::thread([this, id, fd] { handle_connection(id, fd); }));
+      }
+      for (std::thread& t : finished) t.join();
     }
   }
 
@@ -434,7 +451,8 @@ class Daemon::Impl {
 
   std::mutex conns_mu_;
   std::set<int> conn_fds_;
-  std::vector<std::thread> conn_threads_;
+  std::vector<std::uint64_t> finished_conns_;  ///< ended, not yet joined
+  std::map<std::uint64_t, std::thread> conn_threads_;  ///< by connection id
 
   std::mutex finalize_mu_;
 };

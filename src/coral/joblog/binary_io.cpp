@@ -8,7 +8,6 @@
 
 #include "coral/common/binary_frame.hpp"
 #include "coral/common/error.hpp"
-#include "coral/common/instrument.hpp"
 #include "coral/common/storev3.hpp"
 #include "coral/joblog/binary_stream.hpp"
 #include "coral/obs/obs.hpp"
@@ -179,7 +178,7 @@ JobLog read_binary(std::istream& in, const ReadOptions& opts) {
   IngestReport& rep = opts.report != nullptr ? *opts.report : local;
   const machine::MachineModel& machine =
       opts.machine != nullptr ? *opts.machine : machine::bgp_model();
-  StageTimer timer(opts.sink, "ingest.job_binary");
+  obs::Span span(opts.sink, "ingest.job_binary");
 
   char header[8];
   in.read(header, sizeof header);
@@ -213,24 +212,13 @@ JobLog read_binary(std::istream& in, const ReadOptions& opts) {
   const bin::BlockCounters counters = decoder.block_counters();
   JobLog log = decoder.finish(rep, frames);
 
-  obs::Collector* col = obs::as_collector(opts.sink);
-  CORAL_OBS_COUNT(col, "ingest.job_binary.blocks_total", counters.total);
-  CORAL_OBS_COUNT(col, "ingest.job_binary.blocks_decoded", counters.decoded);
-  CORAL_OBS_COUNT(col, "ingest.job_binary.blocks_skipped", counters.skipped);
+  CORAL_OBS_COUNT(opts.sink, "ingest.job_binary.blocks_total", counters.total);
+  CORAL_OBS_COUNT(opts.sink, "ingest.job_binary.blocks_decoded", counters.decoded);
+  CORAL_OBS_COUNT(opts.sink, "ingest.job_binary.blocks_skipped", counters.skipped);
 
-  timer.counts(rep.records_seen(), rep.records_ok());
+  span.counts(rep.records_seen(), rep.records_ok());
   rep.report_malformed(opts.sink, "ingest.job_binary");
   return log;
-}
-
-JobLog read_binary(std::istream& in, ParseMode mode, IngestReport* report,
-                   InstrumentationSink* sink, const machine::MachineModel& machine) {
-  ReadOptions opts;
-  opts.mode = mode;
-  opts.report = report;
-  opts.sink = sink;
-  opts.machine = &machine;
-  return read_binary(in, opts);
 }
 
 }  // namespace coral::joblog

@@ -67,7 +67,8 @@ void write_binary(std::ostream& out, const JobLog& log, const WriteOptions& opts
 struct ReadOptions {
   ParseMode mode = ParseMode::Strict;
   IngestReport* report = nullptr;
-  InstrumentationSink* sink = nullptr;
+  /// Collector for the "ingest.job_binary" span and counters; null = none.
+  obs::Collector* sink = nullptr;
   const machine::MachineModel* machine = nullptr;  ///< null = bgp_model()
   /// Predicate pushdown: v3 blocks whose zone map cannot match are skipped
   /// without decompression, and decoded jobs are exact-filtered (the job's
@@ -85,13 +86,11 @@ struct ReadOptions {
 /// skips-and-counts undecodable records into `report` — the BinaryFrame
 /// counter ends up holding exactly the number of records lost to frame
 /// damage, at most one block of records per damaged frame in either
-/// version. With a `sink`, an "ingest.job_binary" stage sample, per-reason
-/// malformed counters, and blocks_total/blocks_decoded/blocks_skipped
-/// pushdown counters are recorded. Partition extents are validated against
-/// the machine model; the returned log is stamped with it.
-JobLog read_binary(std::istream& in, const ReadOptions& opts);
-JobLog read_binary(std::istream& in, ParseMode mode = ParseMode::Strict,
-                   IngestReport* report = nullptr, InstrumentationSink* sink = nullptr,
-                   const machine::MachineModel& machine = machine::bgp_model());
+/// version. With a `sink` collector, an "ingest.job_binary" span (records
+/// seen -> kept), per-reason malformed counters, and blocks_total/
+/// blocks_decoded/blocks_skipped pushdown counters are recorded. Partition
+/// extents are validated against the machine model; the returned log is
+/// stamped with it.
+JobLog read_binary(std::istream& in, const ReadOptions& opts = {});
 
 }  // namespace coral::joblog

@@ -7,8 +7,8 @@
 
 #include "coral/common/csv.hpp"
 #include "coral/common/error.hpp"
-#include "coral/common/instrument.hpp"
 #include "coral/common/strings.hpp"
+#include "coral/obs/obs.hpp"
 
 namespace coral::joblog {
 
@@ -224,10 +224,10 @@ TimePoint parse_job_time(const std::string& field) {
 }  // namespace
 
 JobLog JobLog::read_csv(std::istream& in, ParseMode mode, IngestReport* report,
-                        InstrumentationSink* sink, const machine::MachineModel& machine) {
+                        obs::Collector* sink, const machine::MachineModel& machine) {
   IngestReport local;
   IngestReport& rep = report != nullptr ? *report : local;
-  StageTimer timer(sink, "ingest.job_csv");
+  obs::Span span(sink, "ingest.job_csv");
 
   CsvReader r(in, ',', mode, &rep);
   std::vector<std::string> row;
@@ -275,7 +275,7 @@ JobLog JobLog::read_csv(std::istream& in, ParseMode mode, IngestReport* report,
     rep.add_ok();
   }
   log.finalize();
-  timer.counts(rep.records_seen(), rep.records_ok());
+  span.counts(rep.records_seen(), rep.records_ok());
   rep.report_malformed(sink, "ingest.job_csv");
   return log;
 }

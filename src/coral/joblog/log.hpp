@@ -84,14 +84,14 @@ class JobLog {
 
   /// Load a job CSV. Strict mode (the default) throws ParseError on the
   /// first malformed byte; lenient mode skips-and-counts malformed rows into
-  /// `report` and resynchronizes at the next row boundary. With a `sink`,
-  /// an "ingest.job_csv" stage sample plus per-reason malformed counters are
-  /// recorded.
+  /// `report` and resynchronizes at the next row boundary. With a `sink`
+  /// collector, an "ingest.job_csv" span (rows seen -> rows kept) plus
+  /// per-reason "ingest.job_csv.malformed.*" counters are recorded.
   /// Partition names are validated against `machine`'s partition algebra;
   /// the returned log is stamped with that model.
   static JobLog read_csv(std::istream& in, ParseMode mode = ParseMode::Strict,
                          IngestReport* report = nullptr,
-                         InstrumentationSink* sink = nullptr,
+                         obs::Collector* sink = nullptr,
                          const machine::MachineModel& machine = machine::bgp_model());
 
  private:

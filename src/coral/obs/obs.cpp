@@ -148,27 +148,6 @@ std::uint64_t Snapshot::counter_value(std::string_view name) const {
   return 0;
 }
 
-void Collector::record(const StageSample& sample) {
-  if (sample.wall_ms <= 0 && sample.out == 0) {
-    // Duration-free ledger sample (ingest malformed counters): a counter.
-    counter(sample.stage).add(sample.in);
-    return;
-  }
-  // A StageTimer reports from the stage's own thread at the moment the
-  // interval ends, so reconstructing start = now - wall gives the true span.
-  const std::int64_t end_us = us_since(epoch_, Clock::now());
-  const auto dur_us = static_cast<std::int64_t>(sample.wall_ms * 1e3);
-  const std::uint32_t tid = thread_number();
-  const std::int32_t parent = innermost_open(this);
-  {
-    std::lock_guard lock(span_mu_);
-    spans_.push_back({sample.stage, end_us - dur_us, dur_us, tid, parent, sample.in,
-                      sample.out});
-    evict_locked();
-  }
-  histogram(sample.stage).record(sample.wall_ms);
-}
-
 Counter& Collector::counter(std::string_view name) {
   std::lock_guard lock(reg_mu_);
   const auto it = counters_.find(name);
@@ -258,15 +237,17 @@ std::int32_t Collector::open_span(const char* name, std::int64_t start_us,
   return index;
 }
 
-void Collector::close_span(std::int32_t index, std::int64_t end_us, std::uint64_t in,
-                           std::uint64_t out) {
+std::int64_t Collector::close_span(std::int32_t index, std::int64_t end_us,
+                                   std::uint64_t in, std::uint64_t out) {
   std::lock_guard lock(span_mu_);
   // Open spans are never evicted, so the absolute index is still in range.
   SpanRecord& s = spans_[static_cast<std::size_t>(index - first_index_)];
-  s.dur_us = std::max<std::int64_t>(0, end_us - s.start_us);
+  const std::int64_t dur_us = std::max<std::int64_t>(0, end_us - s.start_us);
+  s.dur_us = dur_us;
   s.in = in;
   s.out = out;
   evict_locked();
+  return dur_us;
 }
 
 std::uint32_t Collector::thread_number() {
@@ -276,7 +257,7 @@ std::uint32_t Collector::thread_number() {
   return it->second;
 }
 
-Span::Span(Collector* collector, const char* name) : collector_(collector) {
+Span::Span(Collector* collector, const char* name) : collector_(collector), name_(name) {
   if (collector_ == nullptr) return;
   const std::int64_t start = us_since(collector_->epoch(), Clock::now());
   index_ = collector_->open_span(name, start, collector_->thread_number(),
@@ -287,8 +268,9 @@ Span::Span(Collector* collector, const char* name) : collector_(collector) {
 void Span::end() {
   if (collector_ == nullptr) return;
   const std::int64_t end_us = us_since(collector_->epoch(), Clock::now());
-  collector_->close_span(index_, end_us, in_, out_);
+  const std::int64_t dur_us = collector_->close_span(index_, end_us, in_, out_);
   pop_frame(collector_, index_);
+  collector_->histogram(name_).record(static_cast<double>(dur_us) / 1e3);
   collector_ = nullptr;
 }
 

@@ -13,8 +13,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "coral/common/instrument.hpp"
-
 namespace coral::obs {
 
 /// Steady clock shared by every obs time measurement; span timestamps are
@@ -30,7 +28,7 @@ struct SpanRecord {
   std::int64_t dur_us = 0;
   std::uint32_t tid = 0;    ///< dense per-collector thread number (0 = first seen)
   std::int32_t parent = -1;
-  std::uint64_t in = 0;     ///< optional flow counts, StageTimer-compatible
+  std::uint64_t in = 0;     ///< optional flow counts (records/groups in, out)
   std::uint64_t out = 0;
 };
 
@@ -114,30 +112,19 @@ struct Snapshot {
 
 /// The observability hub: hierarchical trace spans, typed counters and
 /// histograms, gathered thread-safely and exported as Chrome trace_event
-/// JSON or Prometheus text.
-///
-/// A Collector *is* an InstrumentationSink: every legacy StageTimer sample
-/// lands here as a real span (the timer reports from the thread that ran the
-/// stage, at the moment the interval ends, so start/end/tid are exact) plus
-/// a latency histogram entry — Context::with_obs() routes both the old and
-/// the new instrumentation through one object.
+/// JSON or Prometheus text. It is the one instrumentation handle: pipeline
+/// stages open Spans on it, readers add ingest counters to it, and every
+/// closed span also records its duration (ms) in a histogram of its name.
 ///
 /// The null collector (a nullptr everywhere one is accepted) is the
 /// zero-overhead default: the Span constructor and the CORAL_OBS_* macros
 /// never read a clock, take a lock or evaluate their value arguments when
 /// the collector pointer is null.
-class Collector final : public InstrumentationSink {
+class Collector {
  public:
   Collector() : epoch_(Clock::now()) {}
-  ~Collector() override = default;
   Collector(const Collector&) = delete;
   Collector& operator=(const Collector&) = delete;
-
-  /// Legacy StageTimer/IngestReport entry point. Samples with a duration
-  /// become spans (start = now - wall_ms) plus a duration histogram; the
-  /// duration-free counter samples (ingest malformed ledgers) become plain
-  /// counters valued at `sample.in`.
-  void record(const StageSample& sample) override;
 
   /// Named counter handle; stable address, created on first use.
   Counter& counter(std::string_view name);
@@ -169,8 +156,9 @@ class Collector final : public InstrumentationSink {
   /// that close first can reference their parent) and filled when it closes.
   std::int32_t open_span(const char* name, std::int64_t start_us, std::uint32_t tid,
                          std::int32_t parent);
-  void close_span(std::int32_t index, std::int64_t end_us, std::uint64_t in,
-                  std::uint64_t out);
+  /// Returns the span's duration.
+  std::int64_t close_span(std::int32_t index, std::int64_t end_us, std::uint64_t in,
+                          std::uint64_t out);
 
   std::uint32_t thread_number();
   /// Evict closed front spans down to capacity (span_mu_ held).
@@ -197,10 +185,11 @@ class Collector final : public InstrumentationSink {
   std::unordered_map<std::thread::id, std::uint32_t> tids_;
 };
 
-/// RAII trace span. With a null collector the constructor is two pointer
+/// RAII trace span. With a null collector the constructor is three pointer
 /// stores; with a live one it captures the thread id, links to the innermost
 /// open span of the same collector on this thread, and records on
-/// destruction (or an explicit end()).
+/// destruction (or an explicit end()): the span itself plus one sample of
+/// its duration in ms in the histogram of the same name.
 class Span {
  public:
   Span(Collector* collector, const char* name);
@@ -208,7 +197,7 @@ class Span {
   Span& operator=(const Span&) = delete;
   ~Span() { end(); }
 
-  /// Attach StageTimer-style flow counts, reported with the span.
+  /// Attach flow counts (records/groups in, out), reported with the span.
   void counts(std::uint64_t in, std::uint64_t out) {
     in_ = in;
     out_ = out;
@@ -219,16 +208,11 @@ class Span {
 
  private:
   Collector* collector_;
+  const char* name_;
   std::int32_t index_ = -1;
   std::uint64_t in_ = 0;
   std::uint64_t out_ = 0;
 };
-
-/// Downcast helper for layers that only hold the legacy sink pointer: the
-/// collector behind it, if that is what the caller attached.
-inline Collector* as_collector(InstrumentationSink* sink) {
-  return dynamic_cast<Collector*>(sink);
-}
 
 // --- Exporters -------------------------------------------------------------
 

@@ -81,7 +81,8 @@ void write_binary(std::ostream& out, const RasLog& log, const WriteOptions& opts
 struct ReadOptions {
   ParseMode mode = ParseMode::Strict;
   IngestReport* report = nullptr;
-  InstrumentationSink* sink = nullptr;
+  /// Collector for the "ingest.ras_binary" span and counters; null = none.
+  obs::Collector* sink = nullptr;
   par::ThreadPool* pool = nullptr;
   const machine::MachineModel* machine = nullptr;  ///< null = bgp_model()
   /// Predicate pushdown: v3 blocks whose zone map cannot match are skipped
@@ -104,9 +105,9 @@ struct ReadOptions {
 /// to frame damage (the dictionary's total record count makes the loss
 /// computable even when the records themselves are unreadable) — at most
 /// one block of records per damaged frame, in either version. With a
-/// `sink`, an "ingest.ras_binary" stage sample, per-reason malformed
-/// counters, and blocks_total/blocks_decoded/blocks_skipped pushdown
-/// counters are recorded.
+/// `sink` collector, an "ingest.ras_binary" span (records seen -> kept),
+/// per-reason malformed counters, and bytes/blocks_total/blocks_decoded/
+/// blocks_skipped counters are recorded.
 ///
 /// The input is buffered whole and frames are decoded in place. With a
 /// `pool` (of any size), CRC verification and record decoding fan out
@@ -116,11 +117,8 @@ struct ReadOptions {
 /// any frame damage falls back to the sequential recovering reader.
 /// Packed locations are validated against the machine model; the returned
 /// log is stamped with it.
-RasLog read_binary(std::istream& in, const Catalog& catalog, const ReadOptions& opts);
 RasLog read_binary(std::istream& in, const Catalog& catalog = default_catalog(),
-                   ParseMode mode = ParseMode::Strict, IngestReport* report = nullptr,
-                   InstrumentationSink* sink = nullptr, par::ThreadPool* pool = nullptr,
-                   const machine::MachineModel& machine = machine::bgp_model());
+                   const ReadOptions& opts = {});
 
 /// read_binary over a memory-mapped file: the region is decoded in place
 /// with zero copies (uncompressed payloads — v2 records, v3 raw-codec

@@ -95,7 +95,7 @@ TEST(FatalColumns, ConsistentAfterLenientIngestDrops) {
   std::istringstream in(bytes);
   IngestReport rep;
   const ras::RasLog parsed =
-      ras::read_binary(in, ras::default_catalog(), ParseMode::Lenient, &rep);
+      ras::read_binary(in, ras::default_catalog(), {.mode = ParseMode::Lenient, .report = &rep});
   ASSERT_LT(parsed.size(), scenario().ras.size());
   EXPECT_GT(rep.malformed(IngestReason::BinaryFrame), 0u);
   expect_columns_match_events(parsed);
@@ -474,12 +474,11 @@ TEST(ParallelBinaryRead, CleanFileMatchesSequential) {
 
   std::istringstream seq_in(bytes);
   IngestReport seq_rep;
-  const ras::RasLog seq = ras::read_binary(seq_in, ras::default_catalog(),
-                                           ParseMode::Strict, &seq_rep);
+  const ras::RasLog seq = ras::read_binary(seq_in, ras::default_catalog(), {.report = &seq_rep});
   std::istringstream par_in(bytes);
   IngestReport par_rep;
-  const ras::RasLog par = ras::read_binary(par_in, ras::default_catalog(),
-                                           ParseMode::Strict, &par_rep, nullptr, &pool);
+  const ras::RasLog par = ras::read_binary(
+      par_in, ras::default_catalog(), {.report = &par_rep, .pool = &pool});
   expect_logs_equal(seq, par);
   expect_reports_equal(seq_rep, par_rep);
   EXPECT_EQ(par.size(), scenario().ras.size());
@@ -497,12 +496,13 @@ TEST(ParallelBinaryRead, DamagedFileMatchesSequentialInLenientMode) {
     }
     std::istringstream seq_in(bytes);
     IngestReport seq_rep;
-    const ras::RasLog seq = ras::read_binary(seq_in, ras::default_catalog(),
-                                             ParseMode::Lenient, &seq_rep);
+    const ras::RasLog seq = ras::read_binary(
+        seq_in, ras::default_catalog(), {.mode = ParseMode::Lenient, .report = &seq_rep});
     std::istringstream par_in(bytes);
     IngestReport par_rep;
-    const ras::RasLog par = ras::read_binary(par_in, ras::default_catalog(),
-                                             ParseMode::Lenient, &par_rep, nullptr, &pool);
+    const ras::RasLog par = ras::read_binary(
+        par_in, ras::default_catalog(),
+        {.mode = ParseMode::Lenient, .report = &par_rep, .pool = &pool});
     expect_logs_equal(seq, par);
     expect_reports_equal(seq_rep, par_rep);
   }
@@ -529,8 +529,7 @@ TEST(ParallelBinaryRead, StrictErrorsMatchSequentialByteForByte) {
   }
   try {
     std::istringstream in(bytes);
-    ras::read_binary(in, ras::default_catalog(), ParseMode::Strict, nullptr, nullptr,
-                     &pool);
+    ras::read_binary(in, ras::default_catalog(), {.pool = &pool});
     FAIL() << "expected ParseError";
   } catch (const ParseError& e) {
     par_what = e.what();
@@ -546,12 +545,13 @@ TEST(ParallelBinaryRead, TruncatedFileMatchesSequential) {
 
   std::istringstream seq_in(bytes);
   IngestReport seq_rep;
-  const ras::RasLog seq = ras::read_binary(seq_in, ras::default_catalog(),
-                                           ParseMode::Lenient, &seq_rep);
+  const ras::RasLog seq = ras::read_binary(
+      seq_in, ras::default_catalog(), {.mode = ParseMode::Lenient, .report = &seq_rep});
   std::istringstream par_in(bytes);
   IngestReport par_rep;
-  const ras::RasLog par = ras::read_binary(par_in, ras::default_catalog(),
-                                           ParseMode::Lenient, &par_rep, nullptr, &pool);
+  const ras::RasLog par = ras::read_binary(
+      par_in, ras::default_catalog(),
+      {.mode = ParseMode::Lenient, .report = &par_rep, .pool = &pool});
   expect_logs_equal(seq, par);
   expect_reports_equal(seq_rep, par_rep);
   EXPECT_GT(seq_rep.malformed(IngestReason::BinaryFrame), 0u);

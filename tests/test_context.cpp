@@ -13,6 +13,7 @@
 
 #include "coral/context.hpp"
 #include "coral/core/pipeline.hpp"
+#include "coral/obs/obs.hpp"
 #include "coral/synth/intrepid.hpp"
 
 namespace coral {
@@ -212,16 +213,16 @@ TEST(ContextInstrumentation, SinkRecordsStagesWithoutChangingResults) {
   const synth::SynthResult& data = intrepid_data();
   const auto plain = core::run_coanalysis(data.ras, data.jobs, {});
 
-  RecordingSink sink;
+  obs::Collector collector;
   const auto instrumented =
-      core::run_coanalysis(data.ras, data.jobs, {}, Context().with_sink(&sink));
+      core::run_coanalysis(data.ras, data.jobs, {}, Context().with_obs(&collector));
   expect_same(plain, instrumented);
 
-  const std::vector<StageSample> samples = sink.samples();
-  const auto stage = [&samples](std::string_view name) -> const StageSample* {
-    const auto it = std::find_if(samples.begin(), samples.end(),
-                                 [name](const StageSample& s) { return s.stage == name; });
-    return it == samples.end() ? nullptr : &*it;
+  const obs::Snapshot snap = collector.snapshot();
+  const auto stage = [&snap](std::string_view name) -> const obs::SpanRecord* {
+    const auto it = std::find_if(snap.spans.begin(), snap.spans.end(),
+                                 [name](const obs::SpanRecord& s) { return s.name == name; });
+    return it == snap.spans.end() ? nullptr : &*it;
   };
   // The filter and match stages, then the characterization back half.
   for (const char* name : {"filter.batch", "matching", "identification", "char.columns",
@@ -229,19 +230,19 @@ TEST(ContextInstrumentation, SinkRecordsStagesWithoutChangingResults) {
                            "vulnerability"}) {
     EXPECT_NE(stage(name), nullptr) << name;
   }
-  const StageSample* filter = stage("filter.batch");
+  const obs::SpanRecord* filter = stage("filter.batch");
   ASSERT_NE(filter, nullptr);
   EXPECT_EQ(filter->in, data.ras.size());
   EXPECT_EQ(filter->out, instrumented.filtered.groups.size());
-  const StageSample* matching = stage("matching");
+  const obs::SpanRecord* matching = stage("matching");
   ASSERT_NE(matching, nullptr);
   EXPECT_EQ(matching->in, instrumented.filtered.groups.size());
   EXPECT_EQ(matching->out, instrumented.matches.interruptions.size());
 
-  const std::string json = sink.to_json();
-  EXPECT_EQ(json.front(), '[');
-  EXPECT_NE(json.find("\"stage\": \"filter.batch\""), std::string::npos);
-  EXPECT_GE(sink.total_ms("filter.batch"), 0.0);
+  const std::string json = obs::snapshot_json(snap);
+  EXPECT_EQ(json.front(), '{');
+  EXPECT_NE(json.find("\"name\": \"filter.batch\""), std::string::npos);
+  EXPECT_GE(snap.total_ms("filter.batch"), 0.0);
 }
 
 // ---- seed policy --------------------------------------------------------

@@ -2,9 +2,11 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <pthread.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -80,9 +82,9 @@ std::string offline_result_fp(const std::string& ras_image,
                               const machine::MachineModel& machine) {
   std::istringstream ras_in(ras_image), job_in(job_image);
   const ras::RasLog ras_log = ras::read_binary(
-      ras_in, ras::default_catalog(), mode, nullptr, nullptr, nullptr, machine);
+      ras_in, ras::default_catalog(), {.mode = mode, .machine = &machine});
   const joblog::JobLog job_log =
-      joblog::read_binary(job_in, mode, nullptr, nullptr, machine);
+      joblog::read_binary(job_in, {.mode = mode, .machine = &machine});
   Context ctx;
   ctx.with_machine(machine);
   char buf[17];
@@ -274,6 +276,49 @@ TEST(DaemonLifecycle, RepeatedStartStopWithTraffic) {
   }
 }
 
+/// This process's virtual size in bytes (the VmSize line of
+/// /proc/self/status), or 0 when it cannot be read.
+std::uint64_t vm_size_bytes() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmSize:", 0) == 0) return std::stoull(line.substr(7)) * 1024;
+  }
+  return 0;
+}
+
+TEST(DaemonLifecycle, FinishedConnectionWorkersAreJoined) {
+  // Every connection runs on its own worker thread, whose stack stays
+  // mapped until the thread is joined. Sequential connect/handshake/close
+  // cycles (about one worker alive at a time) must not grow the daemon by a
+  // stack per connection served: unjoined, 64 cycles grow VmSize by just
+  // over 64 stacks. The bound allows half that, room for the odd new malloc
+  // arena (64 MB of address space) when a worker outlives its client.
+  pthread_attr_t attr;
+  ASSERT_EQ(pthread_getattr_default_np(&attr), 0);
+  std::size_t stack_bytes = 0;
+  pthread_attr_getstacksize(&attr, &stack_bytes);
+  pthread_attr_destroy(&attr);
+  ASSERT_GT(stack_bytes, 0u);
+
+  fleet::Daemon daemon;
+  daemon.start();
+  const auto cycle = [&daemon] {
+    fleet::WireClient client("127.0.0.1", daemon.wire_port());
+    client.handshake({"reconnects", "bgp", ParseMode::Lenient, false});
+  };
+  for (int i = 0; i < 8; ++i) cycle();  // settle malloc arenas and the tenant
+  const std::uint64_t before = vm_size_bytes();
+  ASSERT_GT(before, 0u);
+  constexpr int kCycles = 64;
+  for (int i = 0; i < kCycles; ++i) cycle();
+  const std::uint64_t after = vm_size_bytes();
+  const std::uint64_t growth = after > before ? after - before : 0;
+  EXPECT_LT(growth, kCycles / 2 * stack_bytes)
+      << "VmSize grew " << growth / 1024 << " kB over " << kCycles << " connections ("
+      << stack_bytes / 1024 << " kB per thread stack)";
+}
+
 TEST(FleetDaemon, MidRunMetricsAreLiveAndLabeled) {
   DaemonFixture fx;
   const std::string ras_image = ras_bytes(make_ras_log(600));
@@ -416,10 +461,10 @@ void expect_wire_parity_on_damaged_logs(const std::string& ras_bad,
                                         std::uint64_t seed) {
   std::istringstream ras_in(ras_bad), job_in(job_bad);
   IngestReport want_ras, want_jobs;
-  const ras::RasLog off_ras = ras::read_binary(ras_in, ras::default_catalog(),
-                                               ParseMode::Lenient, &want_ras);
+  const ras::RasLog off_ras = ras::read_binary(
+      ras_in, ras::default_catalog(), {.mode = ParseMode::Lenient, .report = &want_ras});
   const joblog::JobLog off_jobs =
-      joblog::read_binary(job_in, ParseMode::Lenient, &want_jobs);
+      joblog::read_binary(job_in, {.mode = ParseMode::Lenient, .report = &want_jobs});
 
   DaemonFixture fx;
   fleet::WireClient client("127.0.0.1", fx.port());

@@ -10,12 +10,12 @@
 
 #include "coral/common/error.hpp"
 #include "coral/common/ingest.hpp"
-#include "coral/common/instrument.hpp"
 #include "coral/common/parallel.hpp"
 #include "coral/context.hpp"
 #include "coral/core/pipeline.hpp"
 #include "coral/joblog/binary_io.hpp"
 #include "coral/joblog/log.hpp"
+#include "coral/obs/obs.hpp"
 #include "coral/ras/binary_io.hpp"
 #include "coral/ras/log.hpp"
 #include "coral/synth/scenario.hpp"
@@ -132,12 +132,13 @@ TEST(IngestReport, ReportsMalformedCountersToSink) {
   IngestReport rep;
   rep.add_ok(5);
   rep.add_malformed(IngestReason::BadSeverity, 0, "", "d");
-  RecordingSink sink;
-  rep.report_malformed(&sink, "ingest.test");
-  const auto samples = sink.samples();
-  ASSERT_EQ(samples.size(), 1u);
-  EXPECT_EQ(samples[0].stage, "ingest.test.malformed.bad_severity");
-  EXPECT_EQ(samples[0].in, 1u);
+  obs::Collector collector;
+  rep.report_malformed(&collector, "ingest.test");
+  const obs::Snapshot snap = collector.snapshot();
+  ASSERT_EQ(snap.counters.size(), 1u);
+  EXPECT_EQ(snap.counters[0].name, "ingest.test.malformed.bad_severity");
+  EXPECT_EQ(snap.counters[0].value, 1u);
+  EXPECT_TRUE(snap.spans.empty());
 }
 
 // ---------------------------------------------------------------------------
@@ -249,8 +250,8 @@ TEST(LenientIngest, SurvivorsReproduceCleanAnalysis) {
   jcsv += "1,/b,a,p,1.0,500.0,3.0,R00-M0,0\n";
   jcsv += "garbage line that is not a record\n";
 
-  RecordingSink sink;
-  const Context ctx = Context().with_sink(&sink);
+  obs::Collector collector;
+  const Context ctx = Context().with_obs(&collector);
   std::istringstream rin(rcsv), jin(jcsv);
   const core::IngestedLogs logs =
       core::ingest_csv_logs(rin, jin, ParseMode::Lenient, ctx);
@@ -278,18 +279,18 @@ TEST(LenientIngest, SurvivorsReproduceCleanAnalysis) {
   EXPECT_EQ(survived.system_interruptions, clean.system_interruptions);
   EXPECT_EQ(survived.application_interruptions, clean.application_interruptions);
 
-  // Ingest health reached the instrumentation sink.
-  bool saw_stage = false, saw_counter = false;
-  for (const StageSample& s : sink.samples()) {
-    if (s.stage == "ingest.ras_csv") {
+  // Ingest health reached the collector.
+  const obs::Snapshot snap = collector.snapshot();
+  bool saw_stage = false;
+  for (const obs::SpanRecord& s : snap.spans) {
+    if (s.name == "ingest.ras_csv") {
       saw_stage = true;
       EXPECT_EQ(s.in, data.ras.size() + 2);
       EXPECT_EQ(s.out, data.ras.size());
     }
-    if (s.stage == "ingest.ras_csv.malformed.bad_timestamp") saw_counter = true;
   }
   EXPECT_TRUE(saw_stage);
-  EXPECT_TRUE(saw_counter);
+  EXPECT_EQ(snap.counter_value("ingest.ras_csv.malformed.bad_timestamp"), 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -310,8 +311,8 @@ TEST(RasBinaryLenient, DroppedRecordBlockIsCountedExactly) {
 
   std::istringstream in(bytes);
   IngestReport rep;
-  const ras::RasLog parsed = ras::read_binary(in, ras::default_catalog(),
-                                              ParseMode::Lenient, &rep);
+  const ras::RasLog parsed = ras::read_binary(
+      in, ras::default_catalog(), {.mode = ParseMode::Lenient, .report = &rep});
   EXPECT_EQ(parsed.size(), n - 64);
   EXPECT_EQ(rep.records_ok(), n - 64);
   EXPECT_EQ(rep.malformed(IngestReason::BinaryFrame), 64u);
@@ -332,8 +333,8 @@ TEST(RasBinaryLenient, DictionaryRedundancySurvivesOneCopy) {
 
   std::istringstream in(bytes);
   IngestReport rep;
-  const ras::RasLog parsed = ras::read_binary(in, ras::default_catalog(),
-                                              ParseMode::Lenient, &rep);
+  const ras::RasLog parsed = ras::read_binary(
+      in, ras::default_catalog(), {.mode = ParseMode::Lenient, .report = &rep});
   // The second dictionary copy carries the load: nothing is lost.
   EXPECT_EQ(parsed.size(), n);
   EXPECT_EQ(rep.records_ok(), n);
@@ -351,7 +352,8 @@ TEST(JobBinaryLenient, TruncationRecoversPrefixAndCountsTheRest) {
 
   std::istringstream in(bytes);
   IngestReport rep;
-  const joblog::JobLog parsed = joblog::read_binary(in, ParseMode::Lenient, &rep);
+  const joblog::JobLog parsed = joblog::read_binary(
+      in, {.mode = ParseMode::Lenient, .report = &rep});
   EXPECT_GT(parsed.size(), 0u);
   EXPECT_LT(parsed.size(), n);
   EXPECT_EQ(rep.records_ok(), parsed.size());
@@ -393,7 +395,7 @@ TEST(BinaryStrict, CountMismatchDetected) {
   std::istringstream in2(bytes);
   IngestReport rep;
   const ras::RasLog parsed =
-      ras::read_binary(in2, ras::default_catalog(), ParseMode::Lenient, &rep);
+      ras::read_binary(in2, ras::default_catalog(), {.mode = ParseMode::Lenient, .report = &rep});
   EXPECT_EQ(parsed.size(), n - 64);
   EXPECT_EQ(rep.malformed(IngestReason::BinaryFrame), 64u);
 }
@@ -551,7 +553,8 @@ TEST(FuzzSmokeBinary, JobCorpus) {
       std::istringstream in(bad);
       IngestReport rep;
       joblog::JobLog parsed;
-      ASSERT_NO_THROW(parsed = joblog::read_binary(in, ParseMode::Lenient, &rep))
+      ASSERT_NO_THROW(parsed = joblog::read_binary(
+          in, {.mode = ParseMode::Lenient, .report = &rep}))
           << "seed " << seed;
       EXPECT_EQ(rep.records_ok(), parsed.size()) << "seed " << seed;
       EXPECT_LE(parsed.size(), n) << "seed " << seed;
@@ -660,7 +663,7 @@ TEST(FuzzSmokeV3, DamagedColumnBlockIsCountedExactly) {
     std::istringstream in(bad);
     IngestReport rep;
     const ras::RasLog parsed =
-        ras::read_binary(in, ras::default_catalog(), ParseMode::Lenient, &rep);
+        ras::read_binary(in, ras::default_catalog(), {.mode = ParseMode::Lenient, .report = &rep});
     EXPECT_EQ(parsed.size(), n - 64) << "seed " << seed;
     EXPECT_EQ(rep.malformed(IngestReason::BinaryFrame), 64u) << "seed " << seed;
     EXPECT_EQ(rep.records_seen(), n) << "seed " << seed;

@@ -280,42 +280,31 @@ TEST(ObsSpan, DistinctThreadsGetDistinctTids) {
   EXPECT_NE(snap.spans[0].tid, snap.spans[1].tid);
 }
 
-// ---- the legacy InstrumentationSink bridge ---------------------------------
-
-TEST(ObsBridge, StageTimerSamplesBecomeSpansAndHistograms) {
+TEST(ObsSpan, EverySpanRecordsAHistogramOfItsName) {
   obs::Collector c;
-  InstrumentationSink* sink = &c;  // what Context::with_obs hands to layers
   {
-    StageTimer timer(sink, "bridged.stage");
-    timer.counts(100, 42);
+    obs::Span outer(&c, "stage.outer");
+    outer.counts(100, 42);
+    { obs::Span inner(&c, "stage.inner"); }
+    { obs::Span inner(&c, "stage.inner"); }
   }
   const obs::Snapshot snap = c.snapshot();
-  ASSERT_EQ(snap.spans.size(), 1u);
-  EXPECT_EQ(snap.spans[0].name, "bridged.stage");
-  EXPECT_EQ(snap.spans[0].in, 100u);
-  EXPECT_EQ(snap.spans[0].out, 42u);
-  ASSERT_EQ(snap.histograms.size(), 1u);
-  EXPECT_EQ(snap.histograms[0].count, 1u);
-}
-
-TEST(ObsBridge, DurationFreeSamplesBecomeCounters) {
-  obs::Collector c;
-  // The shape IngestReport::report_malformed emits: zero wall time, the
-  // tally in `in`, nothing in `out`.
-  c.record({"ingest.malformed", 0.0, 7, 0});
-  c.record({"ingest.malformed", 0.0, 3, 0});
-  const obs::Snapshot snap = c.snapshot();
-  EXPECT_TRUE(snap.spans.empty());
-  EXPECT_EQ(snap.counter_value("ingest.malformed"), 10u);
-}
-
-TEST(ObsBridge, ContextWithObsSetsBothRoutes) {
-  obs::Collector c;
-  Context ctx;
-  ctx.with_obs(&c);
-  EXPECT_EQ(ctx.obs(), &c);
-  EXPECT_EQ(ctx.sink(), static_cast<InstrumentationSink*>(&c));
-  EXPECT_EQ(obs::as_collector(ctx.sink()), &c);
+  ASSERT_EQ(snap.spans.size(), 3u);
+  ASSERT_EQ(snap.histograms.size(), 2u);  // sorted by name
+  const obs::HistogramRecord& inner = snap.histograms[0];
+  const obs::HistogramRecord& outer = snap.histograms[1];
+  EXPECT_EQ(inner.name, "stage.inner");
+  EXPECT_EQ(inner.count, 2u);
+  EXPECT_EQ(outer.name, "stage.outer");
+  EXPECT_EQ(outer.count, 1u);
+  // One sample per span: its duration in ms.
+  EXPECT_DOUBLE_EQ(outer.sum, snap.total_ms("stage.outer"));
+  EXPECT_DOUBLE_EQ(inner.sum, snap.total_ms("stage.inner"));
+  // An open span has recorded nothing yet.
+  obs::Span open(&c, "stage.open");
+  for (const obs::HistogramRecord& h : c.snapshot().histograms) {
+    EXPECT_NE(h.name, "stage.open");
+  }
 }
 
 // ---- thread-pool telemetry -------------------------------------------------
@@ -426,7 +415,7 @@ TEST(ObsEndToEnd, CoanalysisProducesATraceAcrossLayers) {
     }
     return nullptr;
   };
-  // Legacy StageTimer stages arrive via the bridge, with their record counts...
+  // The engine's stage spans, with their record counts...
   for (const char* name : {"filter.batch", "matching", "identification", "char.columns",
                            "classification", "job_filter", "propagation",
                            "vulnerability"}) {
@@ -436,7 +425,7 @@ TEST(ObsEndToEnd, CoanalysisProducesATraceAcrossLayers) {
   EXPECT_EQ(span("filter.batch")->out, r.filtered.groups.size());
   ASSERT_NE(span("matching"), nullptr);
   EXPECT_EQ(span("matching")->out, r.matches.interruptions.size());
-  // ...and the filter/match layers' own spans and counters via obs proper.
+  // ...and the filter/match layers' own spans and counters.
   EXPECT_GT(snap.total_ms("filter.temporal"), 0.0);
   EXPECT_NE(span("filter.spatial"), nullptr);
   EXPECT_GT(snap.total_ms("match.phase1"), 0.0);
@@ -446,6 +435,31 @@ TEST(ObsEndToEnd, CoanalysisProducesATraceAcrossLayers) {
   EXPECT_GT(snap.counter_value("pool.tasks"), 0u);
 
   EXPECT_TRUE(valid_json(obs::chrome_trace_json(snap)));
+}
+
+TEST(ObsEndToEnd, StageSpansParentTheirLayersSpans) {
+  const synth::SynthResult data = synth::generate(synth::small_scenario(11, 10));
+  obs::Collector c;
+  core::run_coanalysis(data.ras, data.jobs, {}, Context().with_obs(&c));
+  const obs::Snapshot snap = c.snapshot();
+  const auto parent_of = [&snap](std::string_view name) -> std::string {
+    for (const obs::SpanRecord& s : snap.spans) {
+      if (s.name != name) continue;
+      return s.parent < 0 ? "" : snap.spans[static_cast<std::size_t>(s.parent)].name;
+    }
+    return "<missing>";
+  };
+  for (const char* name : {"filter.temporal", "filter.spatial", "filter.causality"}) {
+    EXPECT_EQ(parent_of(name), "filter.batch") << name;
+  }
+  EXPECT_EQ(parent_of("match.phase1"), "matching");
+  EXPECT_EQ(parent_of("match.phase2"), "matching");
+  EXPECT_EQ(parent_of("filter.batch"), "");
+  EXPECT_EQ(parent_of("matching"), "");
+  // Snapshot order is open order: a parent precedes its children.
+  for (std::size_t i = 0; i < snap.spans.size(); ++i) {
+    EXPECT_LT(snap.spans[i].parent, static_cast<std::int32_t>(i)) << snap.spans[i].name;
+  }
 }
 
 // ---- bounded span ring + labeled multi-tenant export -----------------------
